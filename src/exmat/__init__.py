@@ -12,13 +12,13 @@ from .matrix import (
     DegeneratePatternError,
     Matrix01,
     PatternSet,
+    SizeLimitError,
     avoids_all,
     column_ranges,
     contains,
     contains_oracle,
     flip_h,
     flip_v,
-    format_matrix,
     format_pattern_set,
     has_identity_or_row_pair,
     is_light,

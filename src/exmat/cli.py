@@ -28,7 +28,6 @@ from .matrix import (
     DegeneratePatternError,
     Matrix01,
     PatternSet,
-    format_matrix,
     format_pattern_set,
     parse_matrix,
     parse_pattern_set,
@@ -75,7 +74,7 @@ def _load_patterns(paths) -> PatternSet:
 def _result_json(result: ExtremalResult, query: dict) -> dict:
     witness = None
     if result.witness is not None and result.witness.rows and result.witness.cols:
-        witness = format_matrix(result.witness)
+        witness = result.witness.to_text()
     return {
         "schema": "1",
         "query": query,
@@ -86,10 +85,10 @@ def _result_json(result: ExtremalResult, query: dict) -> dict:
     }
 
 
-def _run_query(kind, m, n, k, patterns, budget):
-    if kind == "weight":
-        return ex_weight(m, n, patterns, budget=budget)
-    return ex_columns(ColumnExtremalQuery(m, k, patterns), budget=budget)
+def _run_query(query: dict, patterns, budget):
+    if query["kind"] == "weight":
+        return ex_weight(query["m"], query["n"], patterns, budget=budget)
+    return ex_columns(ColumnExtremalQuery(query["m"], query["k"], patterns), budget=budget)
 
 
 def cmd_compute(args) -> int:
@@ -102,42 +101,32 @@ def cmd_compute(args) -> int:
         "k": args.k,
         "patterns": list(args.pattern),
     }
-    swept = _parse_sweep(args.sweep)[0] if args.sweep else None
+    sweep = _parse_sweep(args.sweep) if args.sweep else None
     needed = ("m", "n") if args.kind == "weight" else ("m", "k")
+    swept = sweep[0] if sweep else None
     missing = [f for f in needed if getattr(args, f) is None and f != swept]
     if missing:
         raise ValueError(f"{args.kind} queries need --" + ", --".join(missing))
 
-    if args.sweep:
-        var, lo, hi = _parse_sweep(args.sweep)
+    if sweep:
+        var, lo, hi = sweep
         rows = []
         for value in range(lo, hi + 1):
-            m, n, k = args.m, args.n, args.k
-            if var == "m":
-                m = value
-            elif var == "n":
-                n = value
-            else:
-                k = value
-            res = _run_query(args.kind, m, n, k, patterns, budget)
-            rows.append((value, res))
+            query = dict(base_query, **{var: value})
+            rows.append((query, _run_query(query, patterns, budget)))
         if args.format == "csv":
             print(f"{var},value,exact,nodes_explored")
-            for value, res in rows:
+            for query, res in rows:
                 v = "unbounded" if res.unbounded else int(res.value)
-                print(f"{value},{v},{res.exact},{res.nodes_explored}")
+                print(f"{query[var]},{v},{res.exact},{res.nodes_explored}")
         else:
-            records = []
-            for value, res in rows:
-                q = dict(base_query)
-                q[var] = value
-                records.append(_result_json(res, q))
+            records = [_result_json(res, query) for query, res in rows]
             print(json.dumps({"schema": "1", "sweep": var, "results": records}, indent=2))
         if any(not res.exact for _, res in rows):
             return EXIT_BUDGET
         return EXIT_OK
 
-    res = _run_query(args.kind, args.m, args.n, args.k, patterns, budget)
+    res = _run_query(base_query, patterns, budget)
     print(json.dumps(_result_json(res, base_query), indent=2))
     return EXIT_OK if res.exact else EXIT_BUDGET
 
@@ -156,19 +145,19 @@ def cmd_generate(args) -> int:
     fam = args.family
     if fam == "L":
         _need(args, "i")
-        print(format_matrix(pattern_L(args.i)))
+        print(pattern_L(args.i).to_text())
     elif fam == "P":
         _need(args, "r", "c")
-        print(format_matrix(pattern_P(args.r, args.c)))
+        print(pattern_P(args.r, args.c).to_text())
     elif fam == "T":
         _need(args, "r", "s")
         print(format_pattern_set(generate_T(TrsParams(args.r, args.s))))
     elif fam == "Kprime":
         _need(args, "m", "k")
-        print(format_matrix(construct_K_prime(args.m, args.k)))
+        print(construct_K_prime(args.m, args.k).to_text())
     elif fam == "pigeonhole":
         _need(args, "m", "k", "c")
-        print(format_matrix(pigeonhole_witness(args.m, args.k, args.c)))
+        print(pigeonhole_witness(args.m, args.k, args.c).to_text())
     elif fam == "lowerP":
         _need(args, "m", "r", "k")
         res = lower_bound_witness(args.m, args.r, args.k)
@@ -178,7 +167,7 @@ def cmd_generate(args) -> int:
                 json.dumps(
                     {
                         "schema": "1",
-                        "witness": format_matrix(res.witness),
+                        "witness": res.witness.to_text(),
                         "columns": res.witness.cols,
                         "rows": res.witness.rows,
                         "trace": trace,
@@ -187,7 +176,7 @@ def cmd_generate(args) -> int:
                 )
             )
         else:
-            print(format_matrix(res.witness))
+            print(res.witness.to_text())
     return EXIT_OK
 
 
@@ -257,7 +246,7 @@ def cmd_transform(args) -> int:
         if out.cols == 0:
             print(json.dumps({"schema": "1", "empty": True, "rows": out.rows, "cols": 0}))
         else:
-            print(format_matrix(out))
+            print(out.to_text())
         return EXIT_OK
     # induction-step
     if args.r is None:
@@ -266,16 +255,14 @@ def cmd_transform(args) -> int:
     if len(counts) != 1:
         raise ValueError("induction-step input needs a uniform number of ones per column")
     k = counts.pop()
-    from .constructions import build_column_graph as _bcg
-
-    state = InductionState(matrix, k, matrix.rows, _bcg(matrix, args.r).max_degree)
+    state = InductionState(matrix, k, matrix.rows, build_column_graph(matrix, args.r).max_degree)
     nxt = coloring_induction_step(state, args.r)
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "schema": "1",
-                    "result": format_matrix(nxt.matrix),
+                    "result": nxt.matrix.to_text(),
                     "before": _state_record(state, args.r),
                     "after": _state_record(nxt, args.r),
                 },
@@ -283,7 +270,7 @@ def cmd_transform(args) -> int:
             )
         )
     else:
-        print(format_matrix(nxt.matrix))
+        print(nxt.matrix.to_text())
     return EXIT_OK
 
 
@@ -332,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--r", type=int)
     p_render.add_argument("--s", type=int)
     p_render.add_argument("--no-witnesses", action="store_true")
-    p_render.add_argument("--format", choices=("svg",), default="svg")
     p_render.set_defaults(func=cmd_render)
 
     p_tr = sub.add_parser("transform", help="apply a construction to a matrix")

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .matrix import Matrix01, flip_h
+from .matrix import Matrix01, SizeLimitError, flip_h
 from .search import ExtremalResult
+
+# pigeonhole_witness refuses to build more columns than this.
+PIGEONHOLE_COLUMN_LIMIT = 1 << 16
 
 
 def cluster_split(matrix: Matrix01, k: int) -> Matrix01:
@@ -28,22 +31,12 @@ def cluster_split(matrix: Matrix01, k: int) -> Matrix01:
     """
     if k < 1:
         raise ValueError("cluster size must be positive")
-    out_cols: list[int] = []
+    clusters: list[list[int]] = []
     for j in range(matrix.cols):
-        support = matrix.col_bits(j)
-        rows = []
-        while support:
-            low = support & -support
-            rows.append(low.bit_length() - 1)
-            support ^= low
-        for t in range(len(rows) // k):
-            out_cols.append(sum(1 << r for r in rows[t * k : (t + 1) * k]))
-    row_bits = [0] * matrix.rows
-    for j, cmask in enumerate(out_cols):
-        for r in range(matrix.rows):
-            if (cmask >> r) & 1:
-                row_bits[r] |= 1 << j
-    return Matrix01(matrix.rows, len(out_cols), tuple(row_bits))
+        rows = [r for r in range(matrix.rows) if matrix.cell(r, j)]
+        clusters.extend(rows[t * k : (t + 1) * k] for t in range(len(rows) // k))
+    ones = ((r, j) for j, cluster in enumerate(clusters) for r in cluster)
+    return Matrix01.from_ones(matrix.rows, len(clusters), ones)
 
 
 def construct_K_prime(m: int, k: int) -> Matrix01:
@@ -75,14 +68,11 @@ def pigeonhole_witness(m: int, k: int, c: int) -> Matrix01:
         raise ValueError("need 1 <= k <= m")
     if c < 2:
         raise ValueError("need c >= 2")
-    cols = []
-    for sel in combinations(range(m), k):
-        cols.extend([sel] * (c - 1))
-    row_bits = [0] * m
-    for j, sel in enumerate(cols):
-        for r in sel:
-            row_bits[r] |= 1 << j
-    return Matrix01(m, len(cols), tuple(row_bits))
+    if (c - 1) * comb(m, k) > PIGEONHOLE_COLUMN_LIMIT:
+        raise SizeLimitError(f"(c-1)*C(m,k) columns exceed the limit {PIGEONHOLE_COLUMN_LIMIT}")
+    cols = [sel for sel in combinations(range(m), k) for _ in range(c - 1)]
+    ones = ((r, j) for j, sel in enumerate(cols) for r in sel)
+    return Matrix01.from_ones(m, len(cols), ones)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ class DegeneratePatternError(ValueError):
     """A pattern violates a structural precondition (e.g. an all-zero column)."""
 
 
+class SizeLimitError(ValueError):
+    """An object built from the input would exceed a fixed module size limit."""
+
+
 @dataclass(frozen=True)
 class Matrix01:
     """Immutable dense 0-1 matrix.
@@ -374,10 +378,6 @@ def parse_pattern_set(text: str) -> PatternSet:
     if not mats:
         raise ValueError("no matrices found")
     return PatternSet(tuple(mats))
-
-
-def format_matrix(matrix: Matrix01) -> str:
-    return matrix.to_text()
 
 
 def format_pattern_set(patterns: PatternSet) -> str:

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
-from .matrix import Matrix01, PatternSet
+from .matrix import Matrix01, PatternSet, SizeLimitError
+
+# generate_T refuses families with more members than this.
+T_FAMILY_LIMIT = 10_000
 
 _L_CELLS = {
     1: (3, 4, ((0, 1), (0, 2), (1, 0), (1, 3), (2, 1))),
@@ -76,6 +80,11 @@ def generate_T(params: TrsParams) -> PatternSet:
     literally anyway (one member per left/right pair).
     """
     r, s = params.r, params.s
+    size = factorial(s + 1) ** 2 * factorial(r)
+    if size > T_FAMILY_LIMIT:
+        raise SizeLimitError(
+            f"T({r},{s}) has ((s+1)!)^2*r! = {size} members; the limit is {T_FAMILY_LIMIT}"
+        )
     rows, cols = params.member_rows, params.member_cols
     side = s + 1
     members = []

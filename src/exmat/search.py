@@ -20,7 +20,10 @@ Boundary semantics for ex_columns:
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
-bound.
+bound.  Both searches run on one explicit-stack driver, so their depth is
+limited by memory, not by Python's recursion limit.  A column query whose
+candidate list would exceed COLUMN_CANDIDATE_LIMIT is refused with
+SizeLimitError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from math import comb
 from .matrix import (
     Matrix01,
     PatternSet,
+    SizeLimitError,
     _contains_using_cell,
     _contains_using_last_col,
     avoids_all,
@@ -47,6 +51,10 @@ UNBOUNDED = math.inf
 
 ORACLE_CELL_LIMIT = 16
 
+# ex_columns refuses queries whose candidate columns plus support slots
+# exceed this count; m = 15 at k = 2 still fits.
+COLUMN_CANDIDATE_LIMIT = 1 << 16
+
 
 class UnknownBoundError(RuntimeError):
     """No finiteness certificate applies; refusing an unbounded column search."""
@@ -56,8 +64,29 @@ class OracleSizeError(ValueError):
     """Requested size exceeds the exhaustive-enumeration limit."""
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _depth_first(root, budget: int | None) -> tuple[int, bool]:
+    """Walk a search tree depth first with an explicit stack.
+
+    A node is a generator: it applies its cell or column, yields its child
+    nodes one at a time, and undoes the change once the last child is
+    done.  Nodes keep their own incumbent.  A node is counted when it is
+    entered; the walk stops without entering node budget+1.  The root is
+    entered like any child, from a one-item iterator.  Returns the node
+    count and whether the tree was walked to the end.
+    """
+    limit = math.inf if budget is None else budget
+    stack = [iter((root,))]
+    nodes = 0
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > limit:
+            return nodes, False
+        stack.append(child)
+    return nodes, True
 
 
 @dataclass(frozen=True)
@@ -120,13 +149,9 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
 
     rows = [0] * m
     total = m * n
-    nodes = 0
 
-    def rec(t: int, w: int):
-        nonlocal nodes, best_m, best_w
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExhausted
+    def node(t: int, w: int):
+        nonlocal best_m, best_w
         if w + (total - t) <= best_w:
             return
         if t == total:
@@ -136,15 +161,11 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
         r, c = divmod(t, n)
         rows[r] |= 1 << c
         if not any(_contains_using_cell(rows, m, n, p, r, c) for p in pats):
-            rec(t + 1, w + 1)
+            yield node(t + 1, w + 1)
         rows[r] ^= 1 << c
-        rec(t + 1, w)
+        yield node(t + 1, w)
 
-    exact = True
-    try:
-        rec(0, 0)
-    except _BudgetExhausted:
-        exact = False
+    nodes, exact = _depth_first(node(0, 0), budget)
     return ExtremalResult(best_w, best_m, nodes, exact)
 
 
@@ -219,6 +240,12 @@ def ex_columns(
     if cap == 0:
         return ExtremalResult(0, Matrix01(m, 0, (0,) * m), 0, True)
 
+    needed = sum(comb(m, size) for size in range(k, m + 1)) + comb(m, cert_rows)
+    if needed > COLUMN_CANDIDATE_LIMIT:
+        raise SizeLimitError(
+            f"m={m}, k={k} needs {needed} candidate columns and support slots; "
+            f"the limit is {COLUMN_CANDIDATE_LIMIT}"
+        )
     candidates = []
     for size in range(k, m + 1):
         for rows_sel in combinations(range(m), size):
@@ -233,23 +260,16 @@ def ex_columns(
 
     host_rows = [0] * m
     chosen: list[int] = []
-    best = 0
     best_cols: list[int] = []
-    nodes = 0
 
-    def rec():
-        nonlocal nodes, best, best_cols, slack
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExhausted
+    def node():
+        nonlocal best_cols, slack
         depth = len(chosen)
-        if depth > best:
-            best = depth
+        if depth > len(best_cols):
             best_cols = chosen.copy()
-        if depth + slack <= best:
+        if depth + slack <= len(best_cols):
             return
-        new_col = depth
-        bit = 1 << new_col
+        bit = 1 << depth
         for cmask in candidates:
             covered = [t for t in slot_masks if t & cmask == t]
             if any(occ[t] >= cert_cols - 1 for t in covered):
@@ -260,13 +280,11 @@ def ex_columns(
                 host_rows[low.bit_length() - 1] |= bit
                 sel ^= low
             chosen.append(cmask)
-            if not any(
-                _contains_using_last_col(host_rows, m, new_col + 1, p) for p in pats
-            ):
+            if not any(_contains_using_last_col(host_rows, m, depth + 1, p) for p in pats):
                 for t in covered:
                     occ[t] += 1
                 slack -= len(covered)
-                rec()
+                yield node()
                 for t in covered:
                     occ[t] -= 1
                 slack += len(covered)
@@ -277,18 +295,10 @@ def ex_columns(
                 host_rows[low.bit_length() - 1] &= ~bit
                 sel ^= low
 
-    exact = True
-    try:
-        rec()
-    except _BudgetExhausted:
-        exact = False
-    wit_rows = [0] * m
-    for j, cmask in enumerate(best_cols):
-        for r in range(m):
-            if (cmask >> r) & 1:
-                wit_rows[r] |= 1 << j
-    witness = Matrix01(m, len(best_cols), tuple(wit_rows))
-    return ExtremalResult(best, witness, nodes, exact)
+    nodes, exact = _depth_first(node(), budget)
+    ones = ((r, j) for j, cmask in enumerate(best_cols) for r in range(m) if (cmask >> r) & 1)
+    witness = Matrix01.from_ones(m, len(best_cols), ones)
+    return ExtremalResult(len(best_cols), witness, nodes, exact)
 
 
 # ---------------------------------------------------------------------------

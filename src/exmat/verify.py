@@ -146,7 +146,6 @@ def claim_columns_exact_formula(m_max: int = 6, k_max: int = 3, cs=(2, 3)) -> Cl
                     ok = (
                         res.exact
                         and res.value == expected
-                        and res.value <= expected
                         and res.witness.cols == res.value
                         and avoids_all(res.witness, PatternSet.of(pattern_P(k, c)))
                     )

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exmat import avoids_all, parse_matrix, parse_pattern_set
 from exmat.cli import main
@@ -19,6 +24,12 @@ def p22_file(tmp_path):
     path = tmp_path / "p22.txt"
     path.write_text("11\n11\n")
     return str(path)
+
+
+def avoids_two_row_block(witness, c):
+    """Closed form: a matrix avoids the all-ones 2 x c block iff no two rows
+    share c ones."""
+    return all((a & b).bit_count() < c for a, b in combinations(witness.row_bits, 2))
 
 
 @pytest.fixture
@@ -65,6 +76,15 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "P", "--r", "2")
         assert code == 2
         assert "needs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["T", "--r", "6", "--s", "2"],
+        ["pigeonhole", "--m", "40", "--k", "20", "--c", "2"],
+    ])
+    def test_oversized_family_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2
+        assert out == "" and "limit" in err
 
 
 class TestCompute:
@@ -166,6 +186,86 @@ class TestCompute:
             "--pattern", p22_file, "--sweep", "q:1:2",
         )
         assert code == 2
+
+    def test_deep_weight_search_is_budget_cut(self, capsys, p22_file):
+        # 1,601 levels deep: crashed with RecursionError before the searches
+        # used an explicit stack
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "40", "--n", "40",
+            "--pattern", p22_file, "--budget", "5000",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["exact"] is False and doc["nodes_explored"] == 5001
+        witness = parse_matrix(doc["witness"])
+        assert (witness.rows, witness.cols) == (40, 40)
+        assert witness.weight == doc["value"] <= 270  # Reiman bound z(40;2)
+        assert avoids_two_row_block(witness, 2)
+
+    def test_deep_column_search_is_budget_cut(self, capsys, tmp_path):
+        wide = tmp_path / "p2x40.txt"
+        wide.write_text("1" * 40 + "\n" + "1" * 40 + "\n")
+        code, out, _ = run_cli(
+            capsys, "compute", "columns", "--m", "8", "--k", "2",
+            "--pattern", str(wide), "--budget", "5000",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["exact"] is False and doc["nodes_explored"] == 5001
+        witness = parse_matrix(doc["witness"])
+        assert witness.rows == 8 and witness.cols == doc["value"] <= 39 * 28
+        assert all(bits.bit_count() >= 2 for bits in witness.columns())
+        assert avoids_two_row_block(witness, 40)
+
+    def test_oversized_column_query_is_input_error(self, capsys, p22_file):
+        code, out, err = run_cli(
+            capsys, "compute", "columns", "--m", "40", "--k", "2", "--pattern", p22_file
+        )
+        assert code == 2
+        assert out == "" and "limit" in err
+
+
+@st.composite
+def pattern_text(draw):
+    """A pattern file of at most 3x3, all-zero patterns included."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return "".join(draw(st.text("01", min_size=cols, max_size=cols)) + "\n" for _ in range(rows))
+
+
+@st.composite
+def compute_argv(draw):
+    """Small `compute` argument lists; pattern texts come back separately."""
+    kind = draw(st.sampled_from(["weight", "columns"]))
+    budget = draw(st.integers(0, 50))
+    # --budget 0 means no budget, so keep those queries small enough to finish
+    top = 6 if budget else 3
+    argv = ["compute", kind, "--budget", str(budget)]
+    for flag in ("m", "n", "k"):
+        value = draw(st.none() | st.integers(0, top))
+        if value is not None:
+            argv += [f"--{flag}", str(value)]
+    if draw(st.booleans()):
+        var = draw(st.sampled_from(["m", "n", "k", "q"]))
+        lo, hi = draw(st.integers(-1, top)), draw(st.integers(-1, top))
+        argv += ["--sweep", f"{var}:{lo}:{hi}"]
+        argv += draw(st.sampled_from([[], ["--format", "csv"]]))
+    patterns = draw(st.lists(pattern_text(), min_size=1, max_size=2))
+    return argv, patterns
+
+
+def test_compute_never_raises(tmp_path):
+    @given(compute_argv())
+    def check(case):
+        argv, patterns = case
+        for i, text in enumerate(patterns):
+            path = tmp_path / f"pattern{i}.txt"
+            path.write_text(text)
+            argv = argv + ["--pattern", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+
+    check()
 
 
 class TestVerify:

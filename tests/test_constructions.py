@@ -10,6 +10,7 @@ from exmat import (
     InductionState,
     Matrix01,
     PatternSet,
+    SizeLimitError,
     avoids_all,
     build_column_graph,
     cluster_split,
@@ -123,6 +124,10 @@ class TestPigeonholeWitness:
     def test_rejects_c_below_two(self):
         with pytest.raises(ValueError):
             pigeonhole_witness(3, 2, 1)
+
+    def test_oversized_witness_is_refused(self):
+        with pytest.raises(SizeLimitError):
+            pigeonhole_witness(40, 20, 2)
 
 
 class TestColumnGraph:

@@ -2,7 +2,15 @@ from math import factorial
 
 import pytest
 
-from exmat import Matrix01, contains, is_light, pattern_L, pattern_P, permutation_matrix
+from exmat import (
+    Matrix01,
+    SizeLimitError,
+    contains,
+    is_light,
+    pattern_L,
+    pattern_P,
+    permutation_matrix,
+)
 from exmat.patterns import TrsParams, generate_T
 
 
@@ -126,3 +134,8 @@ class TestTFamily:
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
             TrsParams(-1, 0)
+
+    def test_oversized_family_is_refused(self):
+        # ((2+1)!)^2 * 6! = 25,920 members
+        with pytest.raises(SizeLimitError):
+            generate_T(TrsParams(6, 2))

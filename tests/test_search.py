@@ -11,6 +11,7 @@ from exmat import (
     Matrix01,
     OracleSizeError,
     PatternSet,
+    SizeLimitError,
     UnknownBoundError,
     avoids_all,
     check_column_bound_from_linear_weight,
@@ -178,6 +179,49 @@ class TestExColumns:
         narrow = ex_columns(ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(2, 2))))
         wide = ex_columns(ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(2, 3))))
         assert wide.value >= narrow.value
+
+
+    def test_oversized_candidate_list_is_refused(self):
+        with pytest.raises(SizeLimitError):
+            ex_columns(ColumnExtremalQuery(40, 2, P22))
+
+    def test_oversized_slot_list_is_refused(self):
+        # 41 candidate columns, but C(40, 20) support slots
+        with pytest.raises(SizeLimitError):
+            ex_columns(ColumnExtremalQuery(40, 39, PatternSet.of(pattern_P(20, 2))))
+
+
+B101_011 = PatternSet.of(Matrix01.from_rows([[1, 0, 1], [0, 1, 1]]))
+
+# (value, nodes_explored, exact, witness text) recorded before the two
+# searches moved onto the explicit-stack driver; a driver or pruning change
+# must not move them silently.
+PINNED = [
+    ("weight", (4, 4, P22, None), (9, 5618, True, "1110\n1001\n0101\n0011")),
+    ("weight", (4, 4, PatternSet.of(DIAMOND), None),
+     (12, 1404, True, "1111\n1111\n1001\n1001")),
+    ("weight", (4, 4, PatternSet.of(DIAMOND), 1403),
+     (12, 1404, False, "1111\n1111\n1001\n1001")),
+    ("weight", (5, 5, PatternSet.of(DIAMOND), 50),
+     (16, 51, False, "11111\n11111\n10001\n10001\n10001")),
+    ("weight", (6, 6, P22, 2000),
+     (11, 2001, False, "111111\n100000\n100000\n100000\n100000\n100000")),
+    ("columns", (6, 2, P22, None),
+     (15, 288, True, "111110000000000\n100001111000000\n010001000111000\n"
+      "001000100100110\n000100010010101\n000010001001011")),
+    ("columns", (5, 2, B101_011, 300),
+     (7, 301, False, "1111100\n1100000\n0000111\n0010010\n0001001")),
+]
+
+
+@pytest.mark.parametrize("kind,args,expected", PINNED)
+def test_pinned_values_and_node_counts(kind, args, expected):
+    a, b, pats, budget = args
+    if kind == "weight":
+        res = ex_weight(a, b, pats, budget=budget)
+    else:
+        res = ex_columns(ColumnExtremalQuery(a, b, pats), budget=budget)
+    assert (res.value, res.nodes_explored, res.exact, res.witness.to_text()) == expected
 
 
 class TestInequalityReports:
