@@ -160,80 +160,74 @@ class ColumnRange:
 # host columns for pattern column b are the AND of the assigned host rows
 # that b requires, and the greedy strictly-increasing choice of lowest set
 # bits is feasible iff some choice is (exchange argument).  Masks only
-# shrink as rows get assigned, so the partial check is a sound prune.
+# shrink as rows get assigned, so the partial check is a sound prune.  The
+# row assignment lives in one explicit list, so pattern depth is bounded by
+# memory, not by Python's recursion limit.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=4096)
-def _col_requirements(pattern: Matrix01) -> tuple[tuple[int, ...], ...]:
-    """Per pattern column: the pattern rows that must map onto ones."""
+def _compiled(pattern: Matrix01) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Per pattern column, the pattern rows (ascending) that must map onto
+    ones; and per pattern row, its count of ones."""
     req = [[] for _ in range(pattern.cols)]
-    for a, bits in enumerate(pattern.row_bits):
-        while bits:
-            low = bits & -bits
-            req[low.bit_length() - 1].append(a)
-            bits ^= low
-    return tuple(tuple(r) for r in req)
-
-
-def _cols_embeddable(hrows, n, req, assigned, pin_b, pin_c):
-    cur = -1
-    na = len(assigned)
-    full = (1 << n) - 1
-    for b, need in enumerate(req):
-        mask = full
-        for a in need:
-            if a < na:
-                mask &= hrows[assigned[a]]
-                if not mask:
-                    return False
-        if b == pin_b:
-            mask &= 1 << pin_c
-        mask >>= cur + 1
-        if not mask:
-            return False
-        cur += (mask & -mask).bit_length()
-    return True
+    for a, b in pattern.ones():
+        req[b].append(a)
+    return tuple(map(tuple, req)), tuple(bits.bit_count() for bits in pattern.row_bits)
 
 
 def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
     """Embedding test on raw row bitmasks.
 
     pin_row = (a0, r0) forces pattern row a0 onto host row r0; pin_col =
-    (b0, c0) forces pattern column b0 onto host column c0.
+    (b0, c0) forces pattern column b0 onto host column c0.  `assigned` is
+    the only stack: a placed row is pushed and the walk resumes at the next
+    pattern row; when a row has no candidate left, the previous one is
+    popped and the walk resumes after it.
     """
-    p, q = pattern.rows, pattern.cols
-    if p > hm or q > n:
+    p = pattern.rows
+    if p > hm or pattern.cols > n:
         return False
-    req = _col_requirements(pattern)
+    req, weights = _compiled(pattern)
     pin_b, pin_c = pin_col if pin_col is not None else (-1, -1)
     a0, r0 = pin_row if pin_row is not None else (-1, -1)
-    ppop = [bits.bit_count() for bits in pattern.row_bits]
-    hpop = [bits.bit_count() for bits in hrows]
+    full = (1 << n) - 1
     assigned: list[int] = []
-
-    def rec(a, start):
-        if a == p:
-            return True
+    i = 0  # first host row still to try for pattern row len(assigned)
+    while len(assigned) < p:
+        a = len(assigned)
         if a == a0:
-            lo, hi = r0, r0
-            if start > r0:
-                return False
+            i, hi = max(i, r0), r0
         else:
-            lo = start
-            hi = hm - (p - a)
+            hi = hm - p + a
             if a < a0:
-                hi = min(hi, r0 - (a0 - a))
-        for i in range(lo, hi + 1):
-            if hpop[i] < ppop[a]:
+                hi = min(hi, r0 - a0 + a)
+        for i in range(i, hi + 1):
+            if hrows[i].bit_count() < weights[a]:
                 continue
             assigned.append(i)
-            if _cols_embeddable(hrows, n, req, assigned, pin_b, pin_c) and rec(a + 1, i + 1):
-                return True
+            cur = -1
+            for b, need in enumerate(req):
+                mask = full
+                for x in need:
+                    if x > a:
+                        break
+                    mask &= hrows[assigned[x]]
+                if b == pin_b:
+                    mask &= 1 << pin_c
+                mask >>= cur + 1
+                if not mask:
+                    break
+                cur += (mask & -mask).bit_length()
+            else:  # every column still fits: go on to the next pattern row
+                i += 1
+                break
             assigned.pop()
-        return False
-
-    return rec(0, 0)
+        else:  # no candidate left for pattern row a: backtrack
+            if not assigned:
+                return False
+            i = assigned.pop() + 1
+    return True
 
 
 def _contains_using_cell(hrows, hm, n, pattern, r, c):
@@ -242,15 +236,7 @@ def _contains_using_cell(hrows, hm, n, pattern, r, c):
     This is exactly the new containment created by switching (r, c) from 0
     to 1 in a previously avoiding host.
     """
-    for a, bits in enumerate(pattern.row_bits):
-        col_bits = bits
-        while col_bits:
-            low = col_bits & -col_bits
-            b = low.bit_length() - 1
-            col_bits ^= low
-            if _embeds(hrows, hm, n, pattern, pin_row=(a, r), pin_col=(b, c)):
-                return True
-    return False
+    return any(_embeds(hrows, hm, n, pattern, (a, r), (b, c)) for a, b in pattern.ones())
 
 
 def _contains_using_last_col(hrows, hm, n, pattern):

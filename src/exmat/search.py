@@ -51,6 +51,9 @@ UNBOUNDED = math.inf
 
 ORACLE_CELL_LIMIT = 16
 
+# Distinct (m, n, patterns) oracle results kept; `verify all` needs 32.
+ORACLE_CACHE_SIZE = 128
+
 # ex_columns refuses queries whose candidate columns plus support slots
 # exceed this count; m = 15 at k = 2 still fits.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
@@ -169,7 +172,7 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     return ExtremalResult(best_w, best_m, nodes, exact)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     """Exhaustive enumeration of all 2^(m*n) matrices; always exact.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, isfinite
 
 from .constructions import (
     build_column_graph,
@@ -594,10 +594,15 @@ def claim_boundary_and_monotone(n_max: int = 5, seed: int = DEFAULT_SEED) -> tup
 
 
 def _scaled(base: int, scale: float, lo: int = 1) -> int:
-    return max(lo, int(round(base * scale)))
+    count = base * scale
+    if not isfinite(count):
+        raise ValueError(f"scale {scale} makes a count of {base} non-finite")
+    return max(lo, int(round(count)))
 
 
 def run_suite(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
+    if not isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if name == "pigeonhole":
         return [
             claim_columns_exact_formula(),

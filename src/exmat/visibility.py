@@ -25,6 +25,7 @@ all endpoints distinct without changing which columns a bar covers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -119,16 +120,14 @@ def sweep_edges(layout: BarLayout) -> list[VisEdge]:
     for ei, (x, kind, bi) in enumerate(events):
         entry = (bars[bi].y_rank, bi)
         if kind == 0:
-            pos = 0
-            while pos < len(active) and active[pos] < entry:
-                pos += 1
+            pos = bisect_left(active, entry)
             active.insert(pos, entry)
             lo = max(0, pos - (size - 1))
             hi = min(pos, len(active) - size)
             for i in range(lo, hi + 1):
                 record(active[i : i + size], x)
         else:
-            pos = active.index(entry)
+            pos = bisect_left(active, entry)
             active.pop(pos)
             lo = max(0, pos - (size - 1))
             hi = min(pos - 1, len(active) - size)

@@ -202,6 +202,22 @@ class TestCompute:
         assert witness.weight == doc["value"] <= 270  # Reiman bound z(40;2)
         assert avoids_two_row_block(witness, 2)
 
+    def test_deep_pattern_is_budget_cut(self, capsys, tmp_path):
+        # a 1,200-row pattern raised RecursionError while containment
+        # recursed once per pattern row
+        tall = tmp_path / "tall.txt"
+        tall.write_text("1\n" * 1200)
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "1200", "--n", "1",
+            "--pattern", str(tall), "--budget", "2",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        witness = parse_matrix(doc["witness"])
+        assert (witness.rows, witness.cols) == (1200, 1)
+        assert witness.weight == doc["value"] == 1
+        assert avoids_all(witness, parse_pattern_set(tall.read_text()))
+
     def test_deep_column_search_is_budget_cut(self, capsys, tmp_path):
         wide = tmp_path / "p2x40.txt"
         wide.write_text("1" * 40 + "\n" + "1" * 40 + "\n")
@@ -290,6 +306,12 @@ class TestVerify:
             capsys, "verify", "edges", "--scale", "0.05", "--seed", "3"
         )
         assert code == 0
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e308"])
+    def test_non_finite_scale_is_input_error(self, capsys, scale):
+        code, _, err = run_cli(capsys, "verify", "edges", "--scale", scale)
+        assert code == 2
+        assert "finite" in err
 
     def test_all_suites_have_unique_documented_claims(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from exmat import (
     pattern_P,
     permutation_matrix,
 )
+from exmat.matrix import _contains_using_cell, _contains_using_last_col
 from exmat.patterns import TrsParams, generate_T
 
 from conftest import matrices, small_patterns
@@ -109,6 +111,39 @@ class TestContains:
     def test_containment_needs_room(self, host, pat):
         if contains(host, pat):
             assert pat.rows <= host.rows and pat.cols <= host.cols
+
+    def test_deep_pattern_needs_no_recursion(self):
+        # 1,200 pattern rows raised RecursionError while the row assignment
+        # recursed once per pattern row
+        tall = Matrix01.filled(1200, 1)
+        assert contains(tall, tall)
+
+
+def brute_embeddings(host, pat):
+    """Every (row selection, column selection) pair that maps pat into host."""
+    ones = list(pat.ones())
+    for rsel in combinations(range(host.rows), pat.rows):
+        for csel in combinations(range(host.cols), pat.cols):
+            if all(host.cell(rsel[a], csel[b]) for a, b in ones):
+                yield rsel, csel
+
+
+class TestPinnedChecks:
+    @given(matrices(max_rows=5, max_cols=5), small_patterns())
+    def test_cell_check_matches_brute_force(self, host, pat):
+        embeddings = list(brute_embeddings(host, pat))
+        for r, c in host.ones():
+            expected = any(
+                (rsel[a], csel[b]) == (r, c)
+                for rsel, csel in embeddings
+                for a, b in pat.ones()
+            )
+            assert _contains_using_cell(host.row_bits, host.rows, host.cols, pat, r, c) == expected
+
+    @given(matrices(max_rows=5, max_cols=5), small_patterns())
+    def test_last_column_check_matches_brute_force(self, host, pat):
+        expected = any(csel[-1] == host.cols - 1 for _, csel in brute_embeddings(host, pat))
+        assert _contains_using_last_col(host.row_bits, host.rows, host.cols, pat) == expected
 
 
 class TestAvoidsAll:
