@@ -25,6 +25,7 @@ from .matrix import (
     is_range_overlapping,
     parse_matrix,
     parse_pattern_set,
+    transpose,
 )
 from .patterns import TrsParams, generate_T, pattern_L, pattern_P, permutation_matrix
 from .search import (

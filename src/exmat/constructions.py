@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .matrix import Matrix01, SizeLimitError, flip_h
+from .matrix import Matrix01, SizeLimitError, _trim_bits, flip_h, transpose
 from .search import ExtremalResult
 
 # pigeonhole_witness refuses to build more columns than this.
@@ -31,12 +31,13 @@ def cluster_split(matrix: Matrix01, k: int) -> Matrix01:
     """
     if k < 1:
         raise ValueError("cluster size must be positive")
-    clusters: list[list[int]] = []
-    for j in range(matrix.cols):
-        rows = [r for r in range(matrix.rows) if matrix.cell(r, j)]
-        clusters.extend(rows[t * k : (t + 1) * k] for t in range(len(rows) // k))
-    ones = ((r, j) for j, cluster in enumerate(clusters) for r in cluster)
-    return Matrix01.from_ones(matrix.rows, len(clusters), ones)
+    clusters = []
+    for bits in matrix.columns():
+        for _ in range(bits.bit_count() // k):
+            rest = _trim_bits(bits, k, 0)
+            clusters.append(bits ^ rest)
+            bits = rest
+    return transpose(Matrix01(len(clusters), matrix.rows, tuple(clusters)))
 
 
 def construct_K_prime(m: int, k: int) -> Matrix01:
@@ -49,12 +50,8 @@ def construct_K_prime(m: int, k: int) -> Matrix01:
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    ncols = m // k
-    ones = []
-    for j in range(ncols):
-        for t in range(k):
-            ones.append((j * k + t, j))
-    return flip_h(Matrix01.from_ones(m, ncols, ones))
+    cols = tuple(((1 << k) - 1) << (j * k) for j in range(m // k))
+    return flip_h(transpose(Matrix01(len(cols), m, cols)))
 
 
 def pigeonhole_witness(m: int, k: int, c: int) -> Matrix01:
@@ -70,9 +67,9 @@ def pigeonhole_witness(m: int, k: int, c: int) -> Matrix01:
         raise ValueError("need c >= 2")
     if (c - 1) * comb(m, k) > PIGEONHOLE_COLUMN_LIMIT:
         raise SizeLimitError(f"(c-1)*C(m,k) columns exceed the limit {PIGEONHOLE_COLUMN_LIMIT}")
-    cols = [sel for sel in combinations(range(m), k) for _ in range(c - 1)]
-    ones = ((r, j) for j, sel in enumerate(cols) for r in sel)
-    return Matrix01.from_ones(m, len(cols), ones)
+    supports = [sum(1 << r for r in sel) for sel in combinations(range(m), k)]
+    cols = tuple(bits for bits in supports for _ in range(c - 1))
+    return transpose(Matrix01(len(cols), m, cols))
 
 
 @dataclass(frozen=True)

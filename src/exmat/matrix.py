@@ -26,6 +26,30 @@ class SizeLimitError(ValueError):
     """An object built from the input would exceed a fixed module size limit."""
 
 
+def _transpose(masks, width: int) -> list[int]:
+    """Bit i of out[j] is bit j of masks[i], for j < width: rows to columns
+    and, with width = row count, columns back to rows."""
+    out = [0] * width
+    for i, bits in enumerate(masks):
+        bit = 1 << i
+        while bits:
+            low = bits & -bits
+            out[low.bit_length() - 1] |= bit
+            bits ^= low
+    return out
+
+
+def _trim_bits(mask: int, low: int, high: int) -> int:
+    """mask without its `low` lowest and `high` highest set bits."""
+    if mask.bit_count() <= low + high:
+        return 0
+    for _ in range(low):
+        mask &= mask - 1
+    for _ in range(high):
+        mask ^= (1 << mask.bit_length()) >> 1
+    return mask
+
+
 @dataclass(frozen=True)
 class Matrix01:
     """Immutable dense 0-1 matrix.
@@ -97,15 +121,9 @@ class Matrix01:
                 yield i, low.bit_length() - 1
                 bits ^= low
 
-    def col_bits(self, j: int) -> int:
-        """Bitmask over rows of the ones in column j."""
-        mask = 0
-        for i, bits in enumerate(self.row_bits):
-            mask |= ((bits >> j) & 1) << i
-        return mask
-
     def columns(self) -> list[int]:
-        return [self.col_bits(j) for j in range(self.cols)]
+        """Per column, the bitmask over rows of its ones."""
+        return _transpose(self.row_bits, self.cols)
 
     def to_text(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -170,10 +188,10 @@ class ColumnRange:
 def _compiled(pattern: Matrix01) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Per pattern column, the pattern rows (ascending) that must map onto
     ones; and per pattern row, its count of ones."""
-    req = [[] for _ in range(pattern.cols)]
-    for a, b in pattern.ones():
-        req[b].append(a)
-    return tuple(map(tuple, req)), tuple(bits.bit_count() for bits in pattern.row_bits)
+    req = tuple(
+        tuple(a for a in range(pattern.rows) if (bits >> a) & 1) for bits in pattern.columns()
+    )
+    return req, tuple(bits.bit_count() for bits in pattern.row_bits)
 
 
 def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
@@ -319,13 +337,14 @@ def has_identity_or_row_pair(pattern: Matrix01) -> bool:
     return contains(pattern, _IDENTITY2)
 
 
+def transpose(matrix: Matrix01) -> Matrix01:
+    """Mirror over the main diagonal: row i of the result is column i."""
+    return Matrix01(matrix.cols, matrix.rows, tuple(matrix.columns()))
+
+
 def flip_h(matrix: Matrix01) -> Matrix01:
     """Mirror over a vertical line (reverse column order)."""
-    n = matrix.cols
-    rev = tuple(
-        sum(((bits >> j) & 1) << (n - 1 - j) for j in range(n)) for bits in matrix.row_bits
-    )
-    return Matrix01(matrix.rows, n, rev)
+    return transpose(flip_v(transpose(matrix)))
 
 
 def flip_v(matrix: Matrix01) -> Matrix01:

@@ -45,6 +45,7 @@ from .matrix import (
     avoids_all,
     contains_oracle,
     is_range_overlapping,
+    transpose,
 )
 
 UNBOUNDED = math.inf
@@ -299,8 +300,7 @@ def ex_columns(
                 sel ^= low
 
     nodes, exact = _depth_first(node(), budget)
-    ones = ((r, j) for j, cmask in enumerate(best_cols) for r in range(m) if (cmask >> r) & 1)
-    witness = Matrix01.from_ones(m, len(best_cols), ones)
+    witness = transpose(Matrix01(len(best_cols), m, tuple(best_cols)))
     return ExtremalResult(len(best_cols), witness, nodes, exact)
 
 

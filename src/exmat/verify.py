@@ -26,6 +26,7 @@ from .constructions import (
 from .matrix import (
     Matrix01,
     PatternSet,
+    SizeLimitError,
     _contains_using_cell,
     avoids_all,
     contains,
@@ -51,6 +52,9 @@ from .visibility import (
 )
 
 DEFAULT_SEED = 20260809
+
+# A scaled trial count may not exceed this: 100x the largest default count.
+VERIFY_COUNT_LIMIT = 100_000
 
 DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
 
@@ -593,11 +597,13 @@ def claim_boundary_and_monotone(n_max: int = 5, seed: int = DEFAULT_SEED) -> tup
 # ---------------------------------------------------------------------------
 
 
-def _scaled(base: int, scale: float, lo: int = 1) -> int:
+def _scaled(base: int, scale: float) -> int:
     count = base * scale
     if not isfinite(count):
         raise ValueError(f"scale {scale} makes a count of {base} non-finite")
-    return max(lo, int(round(count)))
+    if count > VERIFY_COUNT_LIMIT:
+        raise SizeLimitError(f"scale {scale} makes a count of {base} exceed {VERIFY_COUNT_LIMIT}")
+    return max(1, int(round(count)))
 
 
 def run_suite(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:

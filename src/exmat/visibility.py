@@ -15,8 +15,9 @@ recorded every time a window (re)appears, so an edge's witness count equals
 its number of maximal realization intervals.
 
 matrix_to_visibility turns a 0-1 matrix into such a layout: trim the first
-and last s+1 ones of every row and then the bottom r ones of every column;
-each surviving row becomes a bar spanning its first to last remaining one;
+and last s+1 ones of every row and then the bottom r ones of every column
+(a column with at most r surviving ones is emptied); each surviving row
+becomes a bar spanning its first to last remaining one;
 each surviving one with s+1 ones below it in its column anchors a vertical
 witness segment through the next s+1 bars covering that column.  Geometry
 uses Fractions throughout; a per-row rational nudge of the bar ends keeps
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matrix import Matrix01, PatternSet, avoids_all
+from .matrix import Matrix01, PatternSet, _transpose, _trim_bits, avoids_all
 from .patterns import TrsParams, generate_T
 
 
@@ -184,27 +185,6 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
 # ---------------------------------------------------------------------------
 
 
-def _trimmed_cells(matrix: Matrix01, r: int, s: int) -> dict[int, list[int]]:
-    """Surviving ones per column after the row and column trims."""
-    by_row: dict[int, list[int]] = {}
-    for i in range(matrix.rows):
-        cols = [j for j in range(matrix.cols) if matrix.cell(i, j)]
-        kept = cols[s + 1 : len(cols) - (s + 1)]
-        if kept:
-            by_row[i] = kept
-    by_col: dict[int, list[int]] = {}
-    for i, cols in by_row.items():
-        for j in cols:
-            by_col.setdefault(j, []).append(i)
-    out: dict[int, list[int]] = {}
-    for j, rows in sorted(by_col.items()):
-        rows.sort()
-        kept = rows[: len(rows) - r] if r > 0 else rows
-        if kept:
-            out[j] = kept
-    return out
-
-
 def matrix_to_visibility(
     matrix: Matrix01, r: int, s: int
 ) -> tuple[BarLayout, list[VisEdge]]:
@@ -219,40 +199,35 @@ def matrix_to_visibility(
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
-    cells = _trimmed_cells(matrix, r, s)
-    by_row: dict[int, list[int]] = {}
-    for j, rows in cells.items():
-        for i in rows:
-            by_row.setdefault(i, []).append(j)
-    bar_rows = sorted(by_row)
-    eps = Fraction(1, 2 * matrix.rows + 2) if matrix.rows else Fraction(1)
+    rows = [_trim_bits(bits, s + 1, s + 1) for bits in matrix.row_bits]
+    cols = [_trim_bits(bits, 0, r) for bits in _transpose(rows, matrix.cols)]
+    rows = _transpose(cols, matrix.rows)
+    eps = Fraction(1, 2 * matrix.rows + 2)
     bars = []
-    span = {}
-    for i in bar_rows:
-        cols = sorted(by_row[i])
-        first, last = cols[0], cols[-1]
-        span[i] = (first, last)
-        bars.append(
-            Bar(i + 1, Fraction(first + 1) - (i + 1) * eps, Fraction(last + 1) + (i + 1) * eps)
-        )
-    layout = BarLayout(tuple(bars), s)
-    bar_index = {row: idx for idx, row in enumerate(bar_rows)}
+    for i, bits in enumerate(rows):
+        if bits:
+            nudge = (i + 1) * eps
+            left, right = Fraction((bits & -bits).bit_length()), Fraction(bits.bit_length())
+            bars.append(Bar(i + 1, left - nudge, right + nudge))
+    bar_index = {bar.y_rank - 1: idx for idx, bar in enumerate(bars)}
+    # Per column, the rows whose bar spans it: each bar's lowest to highest bit.
+    spans = [bits and (1 << bits.bit_length()) - (bits & -bits) for bits in rows]
+    cover = _transpose(spans, matrix.cols)
 
     seen: dict[tuple[int, ...], list[Fraction]] = {}
-    for j in sorted(cells):
-        rows = cells[j]
-        for pos, i in enumerate(rows):
-            if len(rows) - pos - 1 < s + 1:
-                continue
-            below = [
-                i2
-                for i2 in bar_rows
-                if i2 > i and span[i2][0] <= j <= span[i2][1]
-            ][: s + 1]
-            members = tuple(sorted([bar_index[i]] + [bar_index[i2] for i2 in below]))
-            seen.setdefault(members, []).append(Fraction(j + 1))
+    for j, bits in enumerate(cols):
+        for _ in range(bits.bit_count() - (s + 1)):  # the ones with s+1 ones below them
+            low = bits & -bits
+            bits ^= low
+            below = cover[j] & -(low << 1)  # bar rows below the anchor
+            members = [bar_index[low.bit_length() - 1]]
+            for _ in range(s + 1):
+                nxt = below & -below
+                members.append(bar_index[nxt.bit_length() - 1])
+                below ^= nxt
+            seen.setdefault(tuple(members), []).append(Fraction(j + 1))
     edges = [VisEdge(members, tuple(wit)) for members, wit in seen.items()]
-    return layout, edges
+    return BarLayout(tuple(bars), s), edges
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exmat import avoids_all, parse_matrix, parse_pattern_set
+from exmat import SizeLimitError, avoids_all, parse_matrix, parse_pattern_set
 from exmat.cli import main
+from exmat.verify import VERIFY_COUNT_LIMIT, _scaled
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +318,16 @@ class TestVerify:
         assert code == 2
         assert "finite" in err
 
+    def test_huge_scale_is_size_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "edges", "--scale", "1e300")
+        assert code == 2
+        assert str(VERIFY_COUNT_LIMIT) in err
+
+    def test_scaled_count_is_bounded(self):
+        assert _scaled(1000, 100) == VERIFY_COUNT_LIMIT
+        with pytest.raises(SizeLimitError):
+            _scaled(1000, 1e300)
+
     def test_all_suites_have_unique_documented_claims(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "all", "--scale", "0.02", "--format", "json"
@@ -408,11 +423,27 @@ class TestTransform:
         assert code == 2
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports exmat from this checkout's src."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "exmat", "generate", "P", "--r", "1", "--c", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "exmat", "generate", "P", "--r", "1", "--c", "2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("column_extremal_sweep.py", ["--max-m", "3"]),
+        ("visibility_experiment.py", ["--trials", "5", "--max-n", "5"]),
+    ],
+)
+def test_scripts_run_at_tiny_sizes(script, args):
+    proc = run_python(str(ROOT / "scripts" / script), *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -25,6 +25,7 @@ from exmat import (
     pattern_L,
     pattern_P,
     permutation_matrix,
+    transpose,
 )
 from exmat.matrix import _contains_using_cell, _contains_using_last_col
 from exmat.patterns import TrsParams, generate_T
@@ -106,6 +107,11 @@ class TestContains:
         res = contains(host, pat)
         assert res == contains(flip_h(host), flip_h(pat))
         assert res == contains(flip_v(host), flip_v(pat))
+
+    @given(matrices(max_rows=5, max_cols=5), small_patterns())
+    def test_transposition_symmetry(self, host, pat):
+        res = contains(host, pat)
+        assert res == contains(transpose(host), transpose(pat)) == contains_oracle(host, pat)
 
     @given(matrices(max_rows=5, max_cols=5), small_patterns())
     def test_containment_needs_room(self, host, pat):
@@ -228,7 +234,7 @@ class TestStructuralPredicates:
     def test_l3_has_a_doubled_column(self):
         # column 3 of L3 carries ones in rows 1 and 4
         assert not is_light(pattern_L(3))
-        assert pattern_L(3).col_bits(2).bit_count() == 2
+        assert pattern_L(3).columns()[2].bit_count() == 2
 
     def test_row_pair_qualifies(self):
         assert has_identity_or_row_pair(pattern_L(3))
@@ -290,3 +296,17 @@ class TestMatrixBasics:
     def test_flips_are_involutions(self, m):
         assert flip_h(flip_h(m)) == m
         assert flip_v(flip_v(m)) == m
+
+    @given(matrices(min_rows=0, min_cols=0))
+    def test_transpose_is_an_involution_with_columns_as_rows(self, m):
+        assert transpose(transpose(m)) == m
+        assert transpose(m).row_bits == tuple(m.columns())
+
+    @given(matrices())
+    def test_transpose_and_flips_move_every_cell(self, m):
+        t, h, v = transpose(m), flip_h(m), flip_v(m)
+        for i in range(m.rows):
+            for j in range(m.cols):
+                assert t.cell(j, i) == m.cell(i, j)
+                assert h.cell(i, m.cols - 1 - j) == m.cell(i, j)
+                assert v.cell(m.rows - 1 - i, j) == m.cell(i, j)

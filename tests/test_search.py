@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exmat import (
     UNBOUNDED,
@@ -22,10 +24,15 @@ from exmat import (
     ex_columns,
     ex_weight,
     ex_weight_oracle,
+    flip_h,
+    flip_v,
     pattern_L,
     pattern_P,
+    transpose,
 )
 from exmat.patterns import TrsParams, generate_T
+
+from conftest import small_patterns
 
 DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
 P22 = PatternSet.of(pattern_P(2, 2))
@@ -102,6 +109,23 @@ class TestExWeight:
         for pat in (pattern_P(2, 1), pattern_P(1, 2), DIAMOND, pattern_L(1)):
             res = ex_weight(4, 4, PatternSet.of(pat), budget=20000)
             assert res.value >= 4
+
+
+class TestExWeightSymmetry:
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(small_patterns().filter(lambda p: p.weight), min_size=1, max_size=2),
+    )
+    def test_value_is_invariant_under_reflection_and_transposition(self, m, n, pats):
+        def value(rows, cols, image):
+            return ex_weight(rows, cols, PatternSet(tuple(map(image, pats)))).value
+
+        base = value(m, n, lambda p: p)
+        assert value(n, m, transpose) == base
+        assert value(m, n, flip_h) == base
+        assert value(m, n, flip_v) == base
 
 
 class TestExWeightOracle:

@@ -23,6 +23,8 @@ from exmat import (
 from exmat.patterns import TrsParams, generate_T
 from exmat.verify import greedy_avoider, random_avoider, random_layout
 
+from conftest import matrices
+
 DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
 
 STACK = (Bar(1, 0, 11), Bar(2, 1, 10), Bar(3, 2, 9))
@@ -30,6 +32,37 @@ STACK = (Bar(1, 0, 11), Bar(2, 1, 10), Bar(3, 2, 9))
 
 def edge_map(edges):
     return {e.members: e.multiplicity for e in edges}
+
+
+def reference_reduction(matrix, r, s):
+    """Cell-by-cell statement of the trim-and-anchor rule, as bar triples
+    (y_rank, x_left, x_right) and (members, witnesses) pairs in first-seen
+    order."""
+    row_kept = set()
+    for i in range(matrix.rows):
+        cols = [j for j in range(matrix.cols) if matrix.cell(i, j)]
+        row_kept.update((i, j) for j in cols[s + 1 : len(cols) - (s + 1)])
+    kept = set()
+    for j in range(matrix.cols):
+        rows = [i for i in range(matrix.rows) if (i, j) in row_kept]
+        kept.update((i, j) for i in rows[: max(0, len(rows) - r)])
+    bar_rows = sorted({i for i, _ in kept})
+    span = {i: [j for a, j in sorted(kept) if a == i] for i in bar_rows}
+    eps = Fraction(1, 2 * matrix.rows + 2)
+    bars = [
+        (i + 1, Fraction(span[i][0] + 1) - (i + 1) * eps, Fraction(span[i][-1] + 1) + (i + 1) * eps)
+        for i in bar_rows
+    ]
+    seen = {}
+    for j in range(matrix.cols):
+        rows = [i for i in range(matrix.rows) if (i, j) in kept]
+        for i in rows:
+            if sum(1 for a in rows if a > i) < s + 1:
+                continue
+            below = [a for a in bar_rows if a > i and span[a][0] <= j <= span[a][-1]][: s + 1]
+            members = tuple(bar_rows.index(a) for a in [i] + below)
+            seen.setdefault(members, []).append(Fraction(j + 1))
+    return bars, list(seen.items())
 
 
 class TestLayoutModel:
@@ -148,6 +181,21 @@ class TestMatrixReduction:
         lay2, _ = matrix_to_visibility(full, 2, 0)
         assert len(lay0.bars) == 5
         assert len(lay2.bars) == 3
+
+    def test_column_with_fewer_than_r_ones_is_emptied(self):
+        # the row trim leaves the middle column with two ones; r = 3 removes both
+        lay, edges = matrix_to_visibility(Matrix01.filled(2, 3), 3, 0)
+        assert lay.bars == () and edges == []
+
+    @settings(max_examples=300)
+    @given(matrices(max_rows=8, max_cols=8), st.integers(0, 4), st.integers(0, 2))
+    def test_matches_cell_by_cell_reference(self, mat, r, s):
+        lay, edges = matrix_to_visibility(mat, r, s)
+        bars = [(b.y_rank, b.x_left, b.x_right) for b in lay.bars]
+        assert lay.s == s
+        assert (bars, [(e.members, list(e.witnesses)) for e in edges]) == reference_reduction(
+            mat, r, s
+        )
 
     def test_witness_segments_meet_exactly_their_members(self):
         rng = random.Random(4)
