@@ -13,7 +13,7 @@ import sys
 import time
 from math import comb
 
-from exmat import ColumnExtremalQuery, PatternSet, ex_columns, pattern_P
+from exmat import PatternSet, ex_columns, pattern_P
 
 
 def main():
@@ -29,9 +29,7 @@ def main():
         for k in range(1, min(args.max_k, m) + 1):
             for c in range(2, args.max_c + 1):
                 t0 = time.perf_counter()
-                res = ex_columns(
-                    ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(k, c)))
-                )
+                res = ex_columns(m, k, PatternSet.of(pattern_P(k, c)))
                 dt = time.perf_counter() - t0
                 expected = (c - 1) * comb(m, k)
                 match = res.exact and res.value == expected

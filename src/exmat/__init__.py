@@ -30,7 +30,6 @@ from .matrix import (
 from .patterns import TrsParams, generate_T, pattern_L, pattern_P, permutation_matrix
 from .search import (
     UNBOUNDED,
-    ColumnExtremalQuery,
     ExtremalResult,
     OracleSizeError,
     UnknownBoundError,

@@ -35,7 +35,6 @@ from .matrix import (
 from .patterns import TrsParams, generate_T, pattern_L, pattern_P
 from .render import layout_svg
 from .search import (
-    ColumnExtremalQuery,
     ExtremalResult,
     UnknownBoundError,
     ex_columns,
@@ -88,11 +87,13 @@ def _result_json(result: ExtremalResult, query: dict) -> dict:
 def _run_query(query: dict, patterns, budget):
     if query["kind"] == "weight":
         return ex_weight(query["m"], query["n"], patterns, budget=budget)
-    return ex_columns(ColumnExtremalQuery(query["m"], query["k"], patterns), budget=budget)
+    return ex_columns(query["m"], query["k"], patterns, budget=budget)
 
 
 def cmd_compute(args) -> int:
     patterns = _load_patterns(args.pattern)
+    if args.budget < 0:
+        raise ValueError(f"--budget must be at least 0 (0 means no budget), got {args.budget}")
     budget = args.budget if args.budget > 0 else None
     base_query = {
         "kind": args.kind,
@@ -104,6 +105,8 @@ def cmd_compute(args) -> int:
     sweep = _parse_sweep(args.sweep) if args.sweep else None
     needed = ("m", "n") if args.kind == "weight" else ("m", "k")
     swept = sweep[0] if sweep else None
+    if swept is not None and swept not in needed:
+        raise ValueError(f"{args.kind} queries ignore {swept}; sweep one of " + ", ".join(needed))
     missing = [f for f in needed if getattr(args, f) is None and f != swept]
     if missing:
         raise ValueError(f"{args.kind} queries need --" + ", --".join(missing))

@@ -1,12 +1,13 @@
 """Exact weight and column extremal values by pruned exhaustive search.
 
 ex_weight(m, n, S) is the maximum number of ones in an m x n 0-1 matrix
-avoiding every pattern in S; ex_columns is the maximum number of columns of
-an m-row matrix with at least k ones per column avoiding S.  Both searches
-are branch and bound with incremental containment checks: extending an
-avoiding matrix by one cell (or one appended column) can only create an
-embedding through that cell (that column), so only pinned embeddings are
-re-tested.
+avoiding every pattern in S; ex_columns(m, k, S) is the maximum number of
+columns of an m-row matrix with at least k ones per column avoiding S.  Both
+searches are branch and bound with incremental containment checks:
+extending an avoiding matrix by one cell (or one appended column) can only
+create an embedding through that cell (that column), so only pinned
+embeddings are re-tested.  ex_columns handles a column as the sorted tuple
+of its rows; the support slots it fills are the subsets of that tuple.
 
 Boundary semantics for ex_columns:
   * k > m: the value is 0 (no column can hold k ones).
@@ -45,7 +46,6 @@ from .matrix import (
     avoids_all,
     contains_oracle,
     is_range_overlapping,
-    transpose,
 )
 
 UNBOUNDED = math.inf
@@ -110,17 +110,6 @@ class ExtremalResult:
     @property
     def unbounded(self) -> bool:
         return self.value == UNBOUNDED
-
-
-@dataclass(frozen=True)
-class ColumnExtremalQuery:
-    m: int
-    k: int
-    patterns: PatternSet
-
-    def __post_init__(self):
-        if self.m < 1 or self.k < 1:
-            raise ValueError("m and k must be at least 1")
 
 
 def _canonical_seeds(m: int, n: int) -> list[Matrix01]:
@@ -203,35 +192,40 @@ def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     return ExtremalResult(best_w, best, 1 << (m * n), True)
 
 
-def _finiteness_certificate(m: int, k: int, pats) -> tuple[Matrix01, int, int, int] | None:
-    """Pattern giving the smallest pigeonhole cap (cols-1)*C(m, rows), if any."""
+def _finiteness_certificate(m: int, k: int, pats) -> tuple[int, int, int] | None:
+    """(rows, cols, cap) of the first pattern with at most k rows whose
+    pigeonhole cap (cols-1)*C(m, rows) is smallest, if any."""
     best = None
     for p in pats:
         if p.rows <= k:
             cap = (p.cols - 1) * comb(m, p.rows)
-            if best is None or cap < best[3]:
-                best = (p, p.rows, p.cols, cap)
+            if best is None or cap < best[2]:
+                best = (p.rows, p.cols, cap)
     return best
 
 
 def ex_columns(
-    query: ColumnExtremalQuery,
+    m: int,
+    k: int,
+    patterns: PatternSet,
     budget: int | None = None,
     shuffle_seed: int | None = None,
 ) -> ExtremalResult:
-    """Maximum number of columns with >= k ones each avoiding the patterns.
+    """Maximum number of columns of an m-row matrix with >= k ones each
+    avoiding the patterns.
 
-    Columns (row subsets of size >= k) are appended left to right in
-    lexicographic order of their sorted row tuples; shuffle_seed reorders
-    the candidate types, which must not change the optimum.  Pruning uses
-    the certificate pattern's support slots: every k'-subset of rows can
-    support at most cols-1 chosen columns, and each appended column consumes
-    at least one slot.
+    A column is the sorted tuple of its rows.  Columns (every row subset of
+    size >= k) are appended left to right in lexicographic order of those
+    tuples; shuffle_seed reorders the candidates, which must not change the
+    optimum.  Pruning uses the certificate pattern's support slots: every
+    cert_rows-subset of rows can support at most cols-1 chosen columns, and
+    an appended column consumes the slots among its own rows.
     """
-    m, k = query.m, query.k
-    pats = tuple(query.patterns)
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be at least 1")
+    pats = tuple(patterns)
     if k > m:
-        return ExtremalResult(0, Matrix01(m, 0, (0,) * m), 0, True)
+        return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
     min_one_rows = min(sum(1 for bits in p.row_bits if bits) for p in pats)
     if k < min_one_rows:
         return ExtremalResult(UNBOUNDED, None, 0, True)
@@ -240,9 +234,9 @@ def ex_columns(
         raise UnknownBoundError(
             f"no pattern with at most k={k} rows and no unbounded certificate for m={m}"
         )
-    _, cert_rows, cert_cols, cap = cert
+    cert_rows, cert_cols, cap = cert
     if cap == 0:
-        return ExtremalResult(0, Matrix01(m, 0, (0,) * m), 0, True)
+        return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
     needed = sum(comb(m, size) for size in range(k, m + 1)) + comb(m, cert_rows)
     if needed > COLUMN_CANDIDATE_LIMIT:
@@ -250,40 +244,32 @@ def ex_columns(
             f"m={m}, k={k} needs {needed} candidate columns and support slots; "
             f"the limit is {COLUMN_CANDIDATE_LIMIT}"
         )
-    candidates = []
-    for size in range(k, m + 1):
-        for rows_sel in combinations(range(m), size):
-            candidates.append(sum(1 << r for r in rows_sel))
-    candidates.sort(key=lambda mask: tuple(r for r in range(m) if (mask >> r) & 1))
+    candidates = sorted(sel for size in range(k, m + 1) for sel in combinations(range(m), size))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(candidates)
 
-    slot_masks = [sum(1 << r for r in sel) for sel in combinations(range(m), cert_rows)]
-    occ = {t: 0 for t in slot_masks}
-    slack = (cert_cols - 1) * len(slot_masks)
+    occ = dict.fromkeys(combinations(range(m), cert_rows), 0)
+    slack = cap
 
     host_rows = [0] * m
-    chosen: list[int] = []
-    best_cols: list[int] = []
+    chosen: list[tuple[int, ...]] = []
+    best: list[tuple[int, ...]] = []
 
     def node():
-        nonlocal best_cols, slack
+        nonlocal best, slack
         depth = len(chosen)
-        if depth > len(best_cols):
-            best_cols = chosen.copy()
-        if depth + slack <= len(best_cols):
+        if depth > len(best):
+            best = chosen.copy()
+        if depth + slack <= len(best):
             return
         bit = 1 << depth
-        for cmask in candidates:
-            covered = [t for t in slot_masks if t & cmask == t]
+        for sel in candidates:
+            covered = list(combinations(sel, cert_rows))
             if any(occ[t] >= cert_cols - 1 for t in covered):
                 continue
-            sel = cmask
-            while sel:
-                low = sel & -sel
-                host_rows[low.bit_length() - 1] |= bit
-                sel ^= low
-            chosen.append(cmask)
+            for r in sel:
+                host_rows[r] |= bit
+            chosen.append(sel)
             if not any(_contains_using_last_col(host_rows, m, depth + 1, p) for p in pats):
                 for t in covered:
                     occ[t] += 1
@@ -293,15 +279,12 @@ def ex_columns(
                     occ[t] -= 1
                 slack += len(covered)
             chosen.pop()
-            sel = cmask
-            while sel:
-                low = sel & -sel
-                host_rows[low.bit_length() - 1] &= ~bit
-                sel ^= low
+            for r in sel:
+                host_rows[r] ^= bit
 
     nodes, exact = _depth_first(node(), budget)
-    witness = transpose(Matrix01(len(best_cols), m, tuple(best_cols)))
-    return ExtremalResult(len(best_cols), witness, nodes, exact)
+    witness = Matrix01.from_ones(m, len(best), [(r, j) for j, sel in enumerate(best) for r in sel])
+    return ExtremalResult(len(best), witness, nodes, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +319,7 @@ def check_range_overlap_inequality(
         raise ValueError("k must be positive")
     single = PatternSet.of(pattern)
     lhs = ex_weight_oracle(m, n, single).value
-    col = ex_columns(ColumnExtremalQuery(m, k, single))
+    col = ex_columns(m, k, single)
     rhs = UNBOUNDED if col.unbounded else k * (col.value + n)
     return RangeOverlapBoundReport(m, n, k, lhs, col.value, rhs, lhs <= rhs)
 
@@ -366,7 +349,7 @@ def check_column_bound_from_linear_weight(
     """
     if k <= c:
         raise ValueError(f"need k > c, got k={k}, c={c}")
-    col = ex_columns(ColumnExtremalQuery(m, k, patterns))
+    col = ex_columns(m, k, patterns)
     ns = sorted(set(int(n) for n in n_values))
     if not col.unbounded and col.value >= 1 and col.value not in ns:
         ns.append(int(col.value))
@@ -397,7 +380,7 @@ class MonotonicityReport:
 def check_monotonicity(m: int, patterns: PatternSet, k_range) -> MonotonicityReport:
     """Column extremal values never increase as the per-column minimum k grows."""
     ks = tuple(k_range)
-    values = tuple(ex_columns(ColumnExtremalQuery(m, k, patterns)).value for k in ks)
+    values = tuple(ex_columns(m, k, patterns).value for k in ks)
     ok = all(a >= b for a, b in zip(values, values[1:]))
     return MonotonicityReport(m, ks, values, ok)
 

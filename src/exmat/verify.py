@@ -35,7 +35,6 @@ from .matrix import (
 from .patterns import TrsParams, generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
-    ColumnExtremalQuery,
     check_monotonicity,
     check_range_overlap_inequality,
     ex_columns,
@@ -144,9 +143,7 @@ def claim_columns_exact_formula(m_max: int = 6, k_max: int = 3, cs=(2, 3)) -> Cl
                 for c in cs:
                     cases += 1
                     expected = (c - 1) * comb(m, k)
-                    res = ex_columns(
-                        ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(k, c)))
-                    )
+                    res = ex_columns(m, k, PatternSet.of(pattern_P(k, c)))
                     ok = (
                         res.exact
                         and res.value == expected
@@ -526,10 +523,10 @@ def claim_boundary_and_monotone(n_max: int = 5, seed: int = DEFAULT_SEED) -> tup
     boundary_failures = []
     p22 = PatternSet.of(pattern_P(2, 2))
     for m in range(1, 5):
-        res = ex_columns(ColumnExtremalQuery(m, m + 1, p22))
+        res = ex_columns(m, m + 1, p22)
         if res.value != 0 or not res.exact:
             boundary_failures.append(("k>m", m))
-    if ex_columns(ColumnExtremalQuery(5, 1, p22)).value != UNBOUNDED:
+    if ex_columns(5, 1, p22).value != UNBOUNDED:
         boundary_failures.append(("unbounded",))
     for m in range(2, 7):
         for k in (2, 3):
@@ -537,7 +534,7 @@ def claim_boundary_and_monotone(n_max: int = 5, seed: int = DEFAULT_SEED) -> tup
                 continue
             for c in (2, 3):
                 pk = PatternSet.of(pattern_P(k, c))
-                if ex_columns(ColumnExtremalQuery(m, k, pk)).value > (c - 1) * comb(m, k):
+                if ex_columns(m, k, pk).value > (c - 1) * comb(m, k):
                     boundary_failures.append(("cap", m, k, c))
     mono1 = check_monotonicity(4, p22, range(1, 6))
     mono2 = check_monotonicity(4, PatternSet.of(DIAMOND), range(1, 5))
@@ -607,8 +604,8 @@ def _scaled(base: int, scale: float) -> int:
 
 
 def run_suite(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
-    if not isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    if not isfinite(scale) or scale <= 0:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     if name == "pigeonhole":
         return [
             claim_columns_exact_formula(),

@@ -11,7 +11,6 @@ from math import comb
 
 from exmat import (
     UNBOUNDED,
-    ColumnExtremalQuery,
     Matrix01,
     PatternSet,
     avoids_all,
@@ -155,9 +154,9 @@ def test_criterion_9_boundary_semantics():
 def test_unbounded_and_cap_spot_checks():
     # direct spot checks besides the aggregated criterion 9
     p22 = PatternSet.of(pattern_P(2, 2))
-    assert ex_columns(ColumnExtremalQuery(5, 1, p22)).value == UNBOUNDED
-    assert ex_columns(ColumnExtremalQuery(2, 3, p22)).value == 0
-    res = ex_columns(ColumnExtremalQuery(4, 2, p22))
+    assert ex_columns(5, 1, p22).value == UNBOUNDED
+    assert ex_columns(2, 3, p22).value == 0
+    res = ex_columns(4, 2, p22)
     assert res.value <= comb(4, 2)
 
 

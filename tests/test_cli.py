@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from exmat import SizeLimitError, avoids_all, parse_matrix, parse_pattern_set
 from exmat.cli import main
-from exmat.verify import VERIFY_COUNT_LIMIT, _scaled
+from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,6 +192,36 @@ class TestCompute:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind,fixed,ignored", [("columns", ("--k", "2"), "n"), ("weight", ("--n", "3"), "k")]
+    )
+    def test_sweep_of_an_ignored_variable_is_input_error(
+        self, capsys, p22_file, kind, fixed, ignored
+    ):
+        code, out, err = run_cli(
+            capsys, "compute", kind, "--m", "3", *fixed, "--pattern", p22_file,
+            "--sweep", f"{ignored}:1:3", "--format", "csv",
+        )
+        assert code == 2
+        assert out == "" and f"ignore {ignored}" in err
+
+    def test_negative_budget_is_input_error(self, capsys, p22_file):
+        code, out, err = run_cli(
+            capsys, "compute", "columns", "--m", "3", "--k", "2",
+            "--pattern", p22_file, "--budget", "-5",
+        )
+        assert code == 2
+        assert out == "" and "--budget" in err
+
+    def test_zero_budget_means_no_budget(self, capsys, p22_file):
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "4", "--n", "4",
+            "--pattern", p22_file, "--budget", "0",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (9, True, 5618)
+
     def test_deep_weight_search_is_budget_cut(self, capsys, p22_file):
         # 1,601 levels deep: crashed with RecursionError before the searches
         # used an explicit stack
@@ -317,6 +347,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "edges", "--scale", scale)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    def test_non_positive_scale_is_input_error(self, capsys, scale):
+        code, out, err = run_cli(capsys, "verify", "edges", "--scale", scale)
+        assert code == 2
+        assert out == "" and "positive" in err
+        with pytest.raises(ValueError):
+            run_suite("pigeonhole", scale=float(scale))
 
     def test_huge_scale_is_size_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "edges", "--scale", "1e300")

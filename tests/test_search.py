@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from exmat import (
     UNBOUNDED,
-    ColumnExtremalQuery,
     Matrix01,
     OracleSizeError,
     PatternSet,
@@ -142,17 +141,17 @@ class TestExWeightOracle:
 
 class TestExColumns:
     def test_closed_form_instance(self):
-        res = ex_columns(ColumnExtremalQuery(3, 2, P22))
+        res = ex_columns(3, 2, P22)
         assert res.exact and res.value == 3
         assert res.witness.cols == 3
         assert avoids_all(res.witness, P22)
 
     def test_unbounded_below_one_rows(self):
-        res = ex_columns(ColumnExtremalQuery(5, 1, P22))
+        res = ex_columns(5, 1, P22)
         assert res.unbounded and res.witness is None and res.exact
 
     def test_zero_when_k_exceeds_rows(self):
-        res = ex_columns(ColumnExtremalQuery(2, 3, P22))
+        res = ex_columns(2, 3, P22)
         assert res.value == 0 and res.exact
         assert res.witness.cols == 0
 
@@ -162,11 +161,11 @@ class TestExColumns:
         # fire either, so the search must refuse.
         pat = Matrix01.from_ones(3, 1, [(2, 0)])
         with pytest.raises(UnknownBoundError):
-            ex_columns(ColumnExtremalQuery(3, 2, PatternSet.of(pat)))
+            ex_columns(3, 2, PatternSet.of(pat))
 
     @pytest.mark.parametrize("m,k,c", [(3, 2, 2), (4, 2, 2), (4, 2, 3), (3, 3, 2)])
     def test_formula_grid(self, m, k, c):
-        res = ex_columns(ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(k, c))))
+        res = ex_columns(m, k, PatternSet.of(pattern_P(k, c)))
         assert res.exact and res.value == (c - 1) * comb(m, k)
 
     @pytest.mark.parametrize(
@@ -178,19 +177,58 @@ class TestExColumns:
         ],
     )
     def test_against_unpruned_reference(self, m, k, pats, max_cols):
-        res = ex_columns(ColumnExtremalQuery(m, k, pats))
+        res = ex_columns(m, k, pats)
         ref = brute_ex_columns(m, k, pats, max_cols)
         assert res.value == ref
 
+    def test_seeded_differential_against_unpruned_reference(self):
+        # one or two random patterns up to 2x3, each with a one in every
+        # column, at m <= 3 and every k with a finite value; max_cols is the
+        # pigeonhole cap, which bounds the true value
+        rng = random.Random(4)
+        cases = 0
+        for _ in range(40):
+            pats = []
+            for _ in range(rng.randint(1, 2)):
+                rows, cols = rng.randint(1, 2), rng.randint(1, 3)
+                while True:
+                    bits = tuple(rng.randrange(1 << cols) for _ in range(rows))
+                    pat = Matrix01(rows, cols, bits)
+                    if all(pat.columns()):
+                        break
+                pats.append(pat)
+            pats = PatternSet(tuple(pats))
+            for m in range(1, 4):
+                for k in range(1, m + 1):
+                    try:
+                        res = ex_columns(m, k, pats)
+                    except UnknownBoundError:
+                        continue
+                    if res.unbounded:
+                        continue
+                    cap = min((p.cols - 1) * comb(m, p.rows) for p in pats if p.rows <= k)
+                    assert res.exact
+                    assert res.value == brute_ex_columns(m, k, pats, cap)
+                    assert res.witness.cols == res.value
+                    assert all(bits.bit_count() >= k for bits in res.witness.columns())
+                    assert avoids_all(res.witness, pats)
+                    cases += 1
+        assert cases >= 150
+
+    def test_rows_and_k_must_be_positive(self):
+        for m, k in ((0, 2), (3, 0), (-1, -1)):
+            with pytest.raises(ValueError, match="at least 1"):
+                ex_columns(m, k, P22)
+
     def test_optimum_independent_of_candidate_order(self):
         for seed in range(5):
-            base = ex_columns(ColumnExtremalQuery(4, 2, P22))
-            shuffled = ex_columns(ColumnExtremalQuery(4, 2, P22), shuffle_seed=seed)
+            base = ex_columns(4, 2, P22)
+            shuffled = ex_columns(4, 2, P22, shuffle_seed=seed)
             assert base.value == shuffled.value
             assert avoids_all(shuffled.witness, P22)
 
     def test_budget_gives_lower_bound(self):
-        res = ex_columns(ColumnExtremalQuery(6, 3, PatternSet.of(pattern_P(3, 3))), budget=10)
+        res = ex_columns(6, 3, PatternSet.of(pattern_P(3, 3)), budget=10)
         assert not res.exact
         assert res.value <= 2 * comb(6, 3)
         assert avoids_all(res.witness, PatternSet.of(pattern_P(3, 3)))
@@ -200,51 +238,54 @@ class TestExColumns:
     def test_wider_blocks_allow_more_columns(self, m, k):
         if k > m:
             return
-        narrow = ex_columns(ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(2, 2))))
-        wide = ex_columns(ColumnExtremalQuery(m, k, PatternSet.of(pattern_P(2, 3))))
+        narrow = ex_columns(m, k, PatternSet.of(pattern_P(2, 2)))
+        wide = ex_columns(m, k, PatternSet.of(pattern_P(2, 3)))
         assert wide.value >= narrow.value
 
 
     def test_oversized_candidate_list_is_refused(self):
         with pytest.raises(SizeLimitError):
-            ex_columns(ColumnExtremalQuery(40, 2, P22))
+            ex_columns(40, 2, P22)
 
     def test_oversized_slot_list_is_refused(self):
         # 41 candidate columns, but C(40, 20) support slots
         with pytest.raises(SizeLimitError):
-            ex_columns(ColumnExtremalQuery(40, 39, PatternSet.of(pattern_P(20, 2))))
+            ex_columns(40, 39, PatternSet.of(pattern_P(20, 2)))
 
 
 B101_011 = PatternSet.of(Matrix01.from_rows([[1, 0, 1], [0, 1, 1]]))
 
 # (value, nodes_explored, exact, witness text) recorded before the two
 # searches moved onto the explicit-stack driver; a driver or pruning change
-# must not move them silently.
+# must not move them silently.  The last two columns entries pin the slot
+# bookkeeping of a 3-row certificate and of a shuffled candidate order.
 PINNED = [
-    ("weight", (4, 4, P22, None), (9, 5618, True, "1110\n1001\n0101\n0011")),
-    ("weight", (4, 4, PatternSet.of(DIAMOND), None),
+    ("weight", (4, 4, P22, {}), (9, 5618, True, "1110\n1001\n0101\n0011")),
+    ("weight", (4, 4, PatternSet.of(DIAMOND), {}),
      (12, 1404, True, "1111\n1111\n1001\n1001")),
-    ("weight", (4, 4, PatternSet.of(DIAMOND), 1403),
+    ("weight", (4, 4, PatternSet.of(DIAMOND), {"budget": 1403}),
      (12, 1404, False, "1111\n1111\n1001\n1001")),
-    ("weight", (5, 5, PatternSet.of(DIAMOND), 50),
+    ("weight", (5, 5, PatternSet.of(DIAMOND), {"budget": 50}),
      (16, 51, False, "11111\n11111\n10001\n10001\n10001")),
-    ("weight", (6, 6, P22, 2000),
+    ("weight", (6, 6, P22, {"budget": 2000}),
      (11, 2001, False, "111111\n100000\n100000\n100000\n100000\n100000")),
-    ("columns", (6, 2, P22, None),
+    ("columns", (6, 2, P22, {}),
      (15, 288, True, "111110000000000\n100001111000000\n010001000111000\n"
       "001000100100110\n000100010010101\n000010001001011")),
-    ("columns", (5, 2, B101_011, 300),
+    ("columns", (5, 2, B101_011, {"budget": 300}),
      (7, 301, False, "1111100\n1100000\n0000111\n0010010\n0001001")),
+    ("columns", (5, 3, PatternSet.of(pattern_P(3, 2)), {}),
+     (10, 72, True, "1111110000\n1110001110\n1001101101\n0101011011\n0010110111")),
+    ("columns", (5, 2, P22, {"shuffle_seed": 3}),
+     (10, 136, True, "1001101000\n0100001011\n0000110110\n0011010001\n1110000100")),
 ]
 
 
 @pytest.mark.parametrize("kind,args,expected", PINNED)
 def test_pinned_values_and_node_counts(kind, args, expected):
-    a, b, pats, budget = args
-    if kind == "weight":
-        res = ex_weight(a, b, pats, budget=budget)
-    else:
-        res = ex_columns(ColumnExtremalQuery(a, b, pats), budget=budget)
+    a, b, pats, options = args
+    search = ex_weight if kind == "weight" else ex_columns
+    res = search(a, b, pats, **options)
     assert (res.value, res.nodes_explored, res.exact, res.witness.to_text()) == expected
 
 
