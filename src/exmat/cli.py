@@ -25,7 +25,6 @@ from .constructions import (
     InductionState,
 )
 from .matrix import (
-    DegeneratePatternError,
     Matrix01,
     PatternSet,
     format_pattern_set,
@@ -42,7 +41,6 @@ from .search import (
 )
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .visibility import (
-    LayoutError,
     matrix_to_visibility,
     parse_layout,
     sweep_edges,
@@ -343,7 +341,7 @@ def main(argv=None) -> int:
     except UnknownBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, LayoutError, DegeneratePatternError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,7 +14,6 @@ and the CLI are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 
@@ -173,47 +172,43 @@ class ColumnRange:
 # ---------------------------------------------------------------------------
 # containment core
 #
-# The search assigns host rows to pattern rows in increasing order.  After
-# every assignment a greedy left-to-right column check runs: the candidate
-# host columns for pattern column b are the AND of the assigned host rows
-# that b requires, and the greedy strictly-increasing choice of lowest set
-# bits is feasible iff some choice is (exchange argument).  Masks only
-# shrink as rows get assigned, so the partial check is a sound prune.  The
-# row assignment lives in one explicit list, so pattern depth is bounded by
-# memory, not by Python's recursion limit.
+# The search assigns host rows to pattern rows in increasing order.  Beside
+# the row stack `assigned` sits a stack of column masks: the candidate host
+# columns for pattern column b are the AND of the host rows placed on the
+# pattern rows where b has a one.  Placing a row ANDs it into its own
+# columns only, and a backtrack pops it.  After every placement a greedy
+# left-to-right column check runs: the greedy strictly-increasing choice of
+# lowest set bits is feasible iff some choice is (exchange argument).  Masks
+# only shrink as rows get placed, so the partial check is a sound prune.
+# Both stacks are plain lists, so pattern depth is bounded by memory, not by
+# Python's recursion limit.
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _compiled(pattern: Matrix01) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Per pattern column, the pattern rows (ascending) that must map onto
-    ones; and per pattern row, its count of ones."""
-    req = tuple(
-        tuple(a for a in range(pattern.rows) if (bits >> a) & 1) for bits in pattern.columns()
-    )
-    return req, tuple(bits.bit_count() for bits in pattern.row_bits)
 
 
 def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
     """Embedding test on raw row bitmasks.
 
     pin_row = (a0, r0) forces pattern row a0 onto host row r0; pin_col =
-    (b0, c0) forces pattern column b0 onto host column c0.  `assigned` is
-    the only stack: a placed row is pushed and the walk resumes at the next
-    pattern row; when a row has no candidate left, the previous one is
+    (b0, c0) forces pattern column b0 onto host column c0, by narrowing the
+    starting mask of column b0.  `assigned` and `masks` are the only stacks:
+    a placed row is pushed with its column masks and the walk resumes at the
+    next pattern row; when a row has no candidate left, the previous one is
     popped and the walk resumes after it.
     """
     p = pattern.rows
     if p > hm or pattern.cols > n:
         return False
-    req, weights = _compiled(pattern)
-    pin_b, pin_c = pin_col if pin_col is not None else (-1, -1)
     a0, r0 = pin_row if pin_row is not None else (-1, -1)
-    full = (1 << n) - 1
+    start = [(1 << n) - 1] * pattern.cols
+    if pin_col is not None:
+        start[pin_col[0]] &= 1 << pin_col[1]
+    masks = [start]
     assigned: list[int] = []
     i = 0  # first host row still to try for pattern row len(assigned)
     while len(assigned) < p:
         a = len(assigned)
+        bits = pattern.row_bits[a]
+        weight = bits.bit_count()
         if a == a0:
             i, hi = max(i, r0), r0
         else:
@@ -221,29 +216,28 @@ def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
             if a < a0:
                 hi = min(hi, r0 - a0 + a)
         for i in range(i, hi + 1):
-            if hrows[i].bit_count() < weights[a]:
+            row = hrows[i]
+            if row.bit_count() < weight:
                 continue
-            assigned.append(i)
+            placed = []
             cur = -1
-            for b, need in enumerate(req):
-                mask = full
-                for x in need:
-                    if x > a:
-                        break
-                    mask &= hrows[assigned[x]]
-                if b == pin_b:
-                    mask &= 1 << pin_c
+            for b, mask in enumerate(masks[-1]):
+                if bits >> b & 1:
+                    mask &= row
+                placed.append(mask)
                 mask >>= cur + 1
                 if not mask:
                     break
                 cur += (mask & -mask).bit_length()
             else:  # every column still fits: go on to the next pattern row
+                assigned.append(i)
+                masks.append(placed)
                 i += 1
                 break
-            assigned.pop()
         else:  # no candidate left for pattern row a: backtrack
             if not assigned:
                 return False
+            masks.pop()
             i = assigned.pop() + 1
     return True
 

@@ -11,9 +11,9 @@ of its rows; the support slots it fills are the subsets of that tuple.
 
 Boundary semantics for ex_columns:
   * k > m: the value is 0 (no column can hold k ones).
-  * k below the minimum, over patterns, of the number of rows containing
-    ones: unbounded, because ones filling the first k rows of arbitrarily
-    many columns avoid every pattern.
+  * the m-row host whose top k or bottom k rows are all ones avoids every
+    pattern at the widest pattern's width: unbounded, because its columns
+    are all alike, so it avoids them at any width.
   * some pattern has at most k rows in total: finite, and capped by
     (cols-1) * C(m, rows) via pigeonhole on column supports.  When no such
     certificate exists and the unbounded case does not fire, the search
@@ -226,8 +226,12 @@ def ex_columns(
     pats = tuple(patterns)
     if k > m:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
-    min_one_rows = min(sum(1 for bits in p.row_bits if bits) for p in pats)
-    if k < min_one_rows:
+    # An embedding uses at most `depth` rows of the all-ones band and of the
+    # zero rows, each of them all alike, so both are cut to that height.
+    depth, width = max(p.rows for p in pats), max(p.cols for p in pats)
+    ones, gap = ((1 << width) - 1,) * min(k, depth), (0,) * min(m - k, depth)
+    height = len(ones) + len(gap)
+    if any(avoids_all(Matrix01(height, width, b), patterns) for b in (ones + gap, gap + ones)):
         return ExtremalResult(UNBOUNDED, None, 0, True)
     cert = _finiteness_certificate(m, k, pats)
     if cert is None:

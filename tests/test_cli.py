@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exmat import SizeLimitError, avoids_all, parse_matrix, parse_pattern_set
+from exmat import (
+    Matrix01,
+    SizeLimitError,
+    avoids_all,
+    contains_oracle,
+    parse_matrix,
+    parse_pattern_set,
+)
 from exmat.cli import main
 from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suite
 
@@ -142,12 +149,28 @@ class TestCompute:
 
     def test_unknown_bound_exit_code(self, capsys, tmp_path):
         odd = tmp_path / "odd.txt"
-        odd.write_text("0\n0\n1\n")
+        odd.write_text("0\n1\n0\n")
         code, _, err = run_cli(
-            capsys, "compute", "columns", "--m", "3", "--k", "2", "--pattern", str(odd)
+            capsys, "compute", "columns", "--m", "4", "--k", "2", "--pattern", str(odd)
         )
         assert code == 3
         assert "certificate" in err
+
+    @pytest.mark.parametrize(
+        "text", ["0\n1\n", "1\n0\n", "0\n0\n0\n0\n"], ids=["0/1", "1/0", "zero-4x1"]
+    )
+    def test_unbounded_through_zero_pattern_rows(self, capsys, tmp_path, text):
+        # ones in the top row only, or in the bottom row only, of any number
+        # of columns avoid each of these patterns
+        path = tmp_path / "pat.txt"
+        path.write_text(text)
+        pat = parse_matrix(text)
+        assert not all(contains_oracle(Matrix01(3, 1, bits), pat) for bits in ((1, 0, 0), (0, 0, 1)))
+        code, out, _ = run_cli(
+            capsys, "compute", "columns", "--m", "3", "--k", "1", "--pattern", str(path)
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == "unbounded"
 
     def test_budget_exhaustion_exit_code(self, capsys, diamond_file):
         code, out, _ = run_cli(

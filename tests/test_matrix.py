@@ -27,7 +27,7 @@ from exmat import (
     permutation_matrix,
     transpose,
 )
-from exmat.matrix import _contains_using_cell, _contains_using_last_col
+from exmat.matrix import _contains_using_cell, _contains_using_last_col, _embeds
 from exmat.patterns import TrsParams, generate_T
 
 from conftest import matrices, small_patterns
@@ -135,6 +135,37 @@ def brute_embeddings(host, pat):
 
 
 class TestPinnedChecks:
+    def test_embeds_matches_brute_force_under_every_pin(self):
+        # hosts up to 6x6 and patterns up to 4x4 stack deeper column masks
+        # and backtrack more than the hypothesis cases; each pair is tried
+        # unpinned, row-pinned, column-pinned and pinned both ways
+        rng = random.Random(6)
+        for _ in range(12_500):
+            hm, n = rng.randint(1, 6), rng.randint(1, 6)
+            host = Matrix01(hm, n, tuple(rng.randrange(1 << n) | rng.randrange(1 << n) for _ in range(hm)))
+            p, q = rng.randint(1, 4), rng.randint(1, 4)
+            pat = Matrix01(p, q, tuple(rng.randrange(1 << q) for _ in range(p)))
+            embeddings = list(brute_embeddings(host, pat))
+            for pin_row, pin_col in (
+                (None, None),
+                ((rng.randrange(p), rng.randrange(hm)), None),
+                (None, (rng.randrange(q), rng.randrange(n))),
+                ((rng.randrange(p), rng.randrange(hm)), (rng.randrange(q), rng.randrange(n))),
+            ):
+                expected = any(
+                    (pin_row is None or rsel[pin_row[0]] == pin_row[1])
+                    and (pin_col is None or csel[pin_col[0]] == pin_col[1])
+                    for rsel, csel in embeddings
+                )
+                assert _embeds(host.row_bits, hm, n, pat, pin_row, pin_col) == expected
+
+    def test_deep_pinned_checks_reach_the_last_row(self):
+        # 600 pinned searches of 600 placements each: this stays well under
+        # a second only while a placement costs one AND per pattern one
+        tall = Matrix01.filled(600, 1)
+        assert _contains_using_cell(tall.row_bits, 600, 1, tall, 599, 0)
+        assert _contains_using_last_col(tall.row_bits, 600, 1, tall)
+
     @given(matrices(max_rows=5, max_cols=5), small_patterns())
     def test_cell_check_matches_brute_force(self, host, pat):
         embeddings = list(brute_embeddings(host, pat))

@@ -149,19 +149,29 @@ class TestExColumns:
     def test_unbounded_below_one_rows(self):
         res = ex_columns(5, 1, P22)
         assert res.unbounded and res.witness is None and res.exact
+        # answered without building a host of a trillion rows
+        assert ex_columns(10**12, 1, P22).unbounded
 
     def test_zero_when_k_exceeds_rows(self):
         res = ex_columns(2, 3, P22)
         assert res.value == 0 and res.exact
         assert res.witness.cols == 0
 
-    def test_unknown_bound_guard(self):
-        # single one in the bottom row: two total rows needed per embedding
-        # never materialize as a certificate, and the unbounded case cannot
-        # fire either, so the search must refuse.
+    def test_unbounded_when_the_top_rows_avoid(self):
+        # a one in the bottom row of three: the host whose top two rows are
+        # ones leaves nothing for it, however many columns it has
         pat = Matrix01.from_ones(3, 1, [(2, 0)])
+        assert not contains_oracle(Matrix01(3, 5, (0b11111, 0b11111, 0)), pat)
+        res = ex_columns(3, 2, PatternSet.of(pat))
+        assert res.unbounded and res.witness is None and res.exact
+
+    def test_unknown_bound_guard(self):
+        # a one in the middle row of three: four rows hold an embedding in
+        # the host of all-ones top rows and in the one of all-ones bottom
+        # rows, and no pattern has at most k rows, so the search must refuse
+        pat = Matrix01.from_ones(3, 1, [(1, 0)])
         with pytest.raises(UnknownBoundError):
-            ex_columns(3, 2, PatternSet.of(pat))
+            ex_columns(4, 2, PatternSet.of(pat))
 
     @pytest.mark.parametrize("m,k,c", [(3, 2, 2), (4, 2, 2), (4, 2, 3), (3, 3, 2)])
     def test_formula_grid(self, m, k, c):
