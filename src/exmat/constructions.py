@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .matrix import Matrix01, SizeLimitError, _trim_bits, flip_h, transpose
+from .matrix import Matrix01, SizeLimitError, _trim_bits, check_cells, flip_h, transpose
 from .search import ExtremalResult
 
 # pigeonhole_witness refuses to build more columns than this.
@@ -50,6 +50,7 @@ def construct_K_prime(m: int, k: int) -> Matrix01:
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
+    check_cells(m, m // k)
     cols = tuple(((1 << k) - 1) << (j * k) for j in range(m // k))
     return flip_h(transpose(Matrix01(len(cols), m, cols)))
 
@@ -65,8 +66,11 @@ def pigeonhole_witness(m: int, k: int, c: int) -> Matrix01:
         raise ValueError("need 1 <= k <= m")
     if c < 2:
         raise ValueError("need c >= 2")
-    if (c - 1) * comb(m, k) > PIGEONHOLE_COLUMN_LIMIT:
+    # C(m, k) >= m for k < m: a huge m is refused without computing C(m, k).
+    width = (c - 1) * (m if k < m and m > PIGEONHOLE_COLUMN_LIMIT else comb(m, k))
+    if width > PIGEONHOLE_COLUMN_LIMIT:
         raise SizeLimitError(f"(c-1)*C(m,k) columns exceed the limit {PIGEONHOLE_COLUMN_LIMIT}")
+    check_cells(m, width)
     supports = [sum(1 << r for r in sel) for sel in combinations(range(m), k)]
     cols = tuple(bits for bits in supports for _ in range(c - 1))
     return transpose(Matrix01(len(cols), m, cols))

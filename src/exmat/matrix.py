@@ -25,6 +25,16 @@ class SizeLimitError(ValueError):
     """An object built from the input would exceed a fixed module size limit."""
 
 
+# A matrix built from integer arguments may have at most this many cells.
+MATRIX_CELL_LIMIT = 1 << 24
+
+
+def check_cells(rows: int, cols: int) -> None:
+    """Refuse a rows x cols matrix larger than MATRIX_CELL_LIMIT, before it is built."""
+    if rows * cols > MATRIX_CELL_LIMIT:
+        raise SizeLimitError(f"a {rows} x {cols} matrix exceeds the {MATRIX_CELL_LIMIT}-cell limit")
+
+
 def _transpose(masks, width: int) -> list[int]:
     """Bit i of out[j] is bit j of masks[i], for j < width: rows to columns
     and, with width = row count, columns back to rows."""
@@ -310,10 +320,8 @@ def is_range_overlapping(pattern: Matrix01) -> bool:
     if len(ranges) != pattern.cols:
         bad = sorted(set(range(pattern.cols)) - {r.col for r in ranges})
         raise DegeneratePatternError(f"all-zero column(s) {bad} have no row segment")
-    for a, b in combinations(ranges, 2):
-        if a.bottom < b.top or b.bottom < a.top:
-            return False
-    return True
+    # Intervals that meet pairwise share a point (Helly, in one dimension).
+    return max((r.top for r in ranges), default=0) <= min((r.bottom for r in ranges), default=0)
 
 
 def is_light(pattern: Matrix01) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .matrix import Matrix01, PatternSet, SizeLimitError
+from .matrix import Matrix01, PatternSet, SizeLimitError, check_cells
 
 # generate_T refuses families with more members than this.
 T_FAMILY_LIMIT = 10_000
@@ -38,6 +38,7 @@ def pattern_P(r: int, c: int) -> Matrix01:
     """All-ones r x c block."""
     if r < 1 or c < 1:
         raise ValueError("P dimensions must be positive")
+    check_cells(r, c)
     return Matrix01.filled(r, c)
 
 

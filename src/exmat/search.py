@@ -23,8 +23,9 @@ Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
 bound.  Both searches run on one explicit-stack driver, so their depth is
 limited by memory, not by Python's recursion limit.  A column query whose
-candidate list would exceed COLUMN_CANDIDATE_LIMIT is refused with
-SizeLimitError before anything is allocated.
+candidate list would exceed COLUMN_CANDIDATE_LIMIT, and a weight query
+beyond MATRIX_CELL_LIMIT cells, is refused with SizeLimitError before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 
 from .matrix import (
@@ -44,6 +45,7 @@ from .matrix import (
     _contains_using_cell,
     _contains_using_last_col,
     avoids_all,
+    check_cells,
     contains_oracle,
     is_range_overlapping,
 )
@@ -129,6 +131,7 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
+    check_cells(m, n)
     pats = tuple(patterns)
     if not avoids_all(Matrix01.zeros(m, n), patterns):
         raise ValueError(
@@ -242,11 +245,13 @@ def ex_columns(
     if cap == 0:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
-    needed = sum(comb(m, size) for size in range(k, m + 1)) + comb(m, cert_rows)
-    if needed > COLUMN_CANDIDATE_LIMIT:
+    # The sum stops once past the limit; C(m, j) >= m for 1 <= j <= m-1, so a
+    # huge m is refused after the first term or two.
+    counts = (comb(m, size) for size in chain((cert_rows,), range(k, m + 1)))
+    if any(needed > COLUMN_CANDIDATE_LIMIT for needed in accumulate(counts)):
         raise SizeLimitError(
-            f"m={m}, k={k} needs {needed} candidate columns and support slots; "
-            f"the limit is {COLUMN_CANDIDATE_LIMIT}"
+            f"m={m}, k={k} needs more candidate columns and support slots "
+            f"than the limit {COLUMN_CANDIDATE_LIMIT}"
         )
     candidates = sorted(sel for size in range(k, m + 1) for sel in combinations(range(m), size))
     if shuffle_seed is not None:

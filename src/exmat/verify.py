@@ -1,16 +1,20 @@
 """Seeded verification suites over the package's finite claims.
 
-Each claim function checks one mathematical statement on a grid or a seeded
-random sample and returns a ClaimResult; suites bundle claims for the CLI.
-All randomness flows through an explicit seed, so runs are reproducible,
-and every claim's description states the checked inequality or identity.
+Each claim function checks one or more mathematical statements on a fixed
+grid or a seeded random sample and returns a list of ClaimResult, all built
+and timed by `_claims`: one run of a check yields one result per claim, and
+the claims of one run share its time.  SUITES maps each suite name to the
+claims it runs; only the counts that `--scale` feeds and the seed are
+parameters.  All randomness flows through an explicit seed, so runs are
+reproducible, and every claim's description states the checked inequality
+or identity.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial, isfinite
 
 from .constructions import (
@@ -64,16 +68,25 @@ class ClaimResult:
     description: str
     params: dict
     passed: bool
-    observed: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
+    observed: dict
+    runtime_s: float
 
 
-def _claim(claim_id, description, params, check):
+def _claims(check, *specs) -> list[ClaimResult]:
+    """Run check() once and time it.  It returns one (passed, observed) pair
+    per (claim_id, description, params) spec, in spec order."""
     start = time.perf_counter()
-    passed, observed = check()
-    return ClaimResult(
-        claim_id, description, params, passed, observed, time.perf_counter() - start
-    )
+    outcomes = check()
+    elapsed = time.perf_counter() - start
+    return [
+        ClaimResult(*spec, passed, observed, elapsed)
+        for spec, (passed, observed) in zip(specs, outcomes, strict=True)
+    ]
+
+
+def _verdict(failures: list, **counts) -> tuple[bool, dict]:
+    """The (passed, observed) pair of a claim that holds when nothing failed."""
+    return not failures, {**counts, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +101,10 @@ def random_matrix(rng: random.Random, rows: int, cols: int, density: float) -> M
     return Matrix01(rows, cols, bits)
 
 
-def random_avoider(
-    rng: random.Random, rows: int, cols: int, patterns: PatternSet, max_tries: int = 60
-) -> Matrix01:
+def random_avoider(rng: random.Random, rows: int, cols: int, patterns: PatternSet) -> Matrix01:
     """Random matrix avoiding the patterns, by density-decreasing rejection."""
     density = 0.5
-    for _ in range(max_tries):
+    for _ in range(60):
         cand = random_matrix(rng, rows, cols, density)
         if avoids_all(cand, patterns):
             return cand
@@ -132,8 +143,9 @@ def random_layout(rng: random.Random, n: int, s: int) -> BarLayout:
 # ---------------------------------------------------------------------------
 
 
-def claim_columns_exact_formula(m_max: int = 6, k_max: int = 3, cs=(2, 3)) -> ClaimResult:
+def claim_columns_exact_formula() -> list[ClaimResult]:
     """ex_k(m, all-ones k x c) equals (c-1) * C(m, k), exactly."""
+    m_max, k_max, cs = 6, 3, (2, 3)
 
     def check():
         failures = []
@@ -152,18 +164,19 @@ def claim_columns_exact_formula(m_max: int = 6, k_max: int = 3, cs=(2, 3)) -> Cl
                     )
                     if not ok:
                         failures.append((m, k, c, res.value, expected))
-        return not failures, {"cases": cases, "failures": failures}
+        return [_verdict(failures, cases=cases)]
 
-    return _claim(
-        "columns-exact-formula",
-        "exact column extremal value of the all-ones k x c pattern is (c-1)*C(m,k)",
-        {"m_max": m_max, "k_max": k_max, "cs": list(cs)},
+    return _claims(
         check,
+        ("columns-exact-formula",
+         "exact column extremal value of the all-ones k x c pattern is (c-1)*C(m,k)",
+         {"m_max": m_max, "k_max": k_max, "cs": list(cs)}),
     )
 
 
-def claim_pigeonhole_witness(m_max: int = 6, k_max: int = 3, cs=(2, 3)) -> ClaimResult:
+def claim_pigeonhole_witness() -> list[ClaimResult]:
     """The repeated-subsets witness has (c-1)*C(m,k) columns and avoids the block."""
+    m_max, k_max, cs = 6, 3, (2, 3)
 
     def check():
         failures = []
@@ -171,72 +184,64 @@ def claim_pigeonhole_witness(m_max: int = 6, k_max: int = 3, cs=(2, 3)) -> Claim
             for k in range(1, min(k_max, m) + 1):
                 for c in cs:
                     wit = pigeonhole_witness(m, k, c)
-                    ok = wit.cols == (c - 1) * comb(m, k) and not contains(
-                        wit, pattern_P(k, c)
-                    )
+                    ok = wit.cols == (c - 1) * comb(m, k) and not contains(wit, pattern_P(k, c))
                     if not ok:
                         failures.append((m, k, c))
-        return not failures, {"failures": failures}
+        return [_verdict(failures)]
 
-    return _claim(
-        "pigeonhole-witness-valid",
-        "every k-subset repeated c-1 times gives an avoiding matrix with (c-1)*C(m,k) columns",
-        {"m_max": m_max, "k_max": k_max, "cs": list(cs)},
+    return _claims(
         check,
+        ("pigeonhole-witness-valid",
+         "every k-subset repeated c-1 times gives an avoiding matrix with (c-1)*C(m,k) columns",
+         {"m_max": m_max, "k_max": k_max, "cs": list(cs)}),
     )
 
 
-def claim_edge_bounds(
-    trials: int = 1000, n_max: int = 50, oracle_n_max: int = 12, seed: int = DEFAULT_SEED
-) -> tuple[ClaimResult, ClaimResult]:
+def claim_edge_bounds(trials: int = 1000, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     """Edge count <= (2s+3)n on random layouts; sweep agrees with the oracle."""
-    rng = random.Random(seed)
-    bound_failures = []
-    agreement_failures = []
-    oracle_checked = 0
-    witness_failures = []
-    start = time.perf_counter()
-    for t in range(trials):
-        n = rng.randint(2, n_max)
-        s = rng.randint(0, 3)
-        layout = random_layout(rng, n, s)
-        edges = sweep_edges(layout)
-        if len(edges) > (2 * s + 3) * n or len(edges) > comb(n, s + 2):
-            bound_failures.append((t, n, s, len(edges)))
-        for e in edges[:3]:
-            if not witness_is_exact(layout, e.members, e.witnesses[0]):
-                witness_failures.append((t, e.members))
-        if n <= oracle_n_max:
-            oracle_checked += 1
-            ref = sweep_edges_oracle(layout)
-            got = {e.members: e.multiplicity for e in edges}
-            want = {e.members: e.multiplicity for e in ref}
-            if got != want:
-                agreement_failures.append((t, n, s))
-    elapsed = time.perf_counter() - start
-    bound = ClaimResult(
-        "edge-count-bound",
-        "a layout with n bars has at most (2s+3)*n distinct visibility edges",
-        {"trials": trials, "n_max": n_max, "seed": seed},
-        not bound_failures and not witness_failures,
-        {"bound_failures": bound_failures, "witness_failures": witness_failures},
-        elapsed,
+    n_max, oracle_n_max = 50, 12
+
+    def check():
+        rng = random.Random(seed)
+        bound_failures = []
+        agreement_failures = []
+        oracle_checked = 0
+        witness_failures = []
+        for t in range(trials):
+            n = rng.randint(2, n_max)
+            s = rng.randint(0, 3)
+            layout = random_layout(rng, n, s)
+            edges = sweep_edges(layout)
+            if len(edges) > (2 * s + 3) * n or len(edges) > comb(n, s + 2):
+                bound_failures.append((t, n, s, len(edges)))
+            for e in edges[:3]:
+                if not witness_is_exact(layout, e.members, e.witnesses[0]):
+                    witness_failures.append((t, e.members))
+            if n <= oracle_n_max:
+                oracle_checked += 1
+                ref = sweep_edges_oracle(layout)
+                got = {e.members: e.multiplicity for e in edges}
+                want = {e.members: e.multiplicity for e in ref}
+                if got != want:
+                    agreement_failures.append((t, n, s))
+        bound = {"bound_failures": bound_failures, "witness_failures": witness_failures}
+        passed = not bound_failures and not witness_failures
+        return [(passed, bound), _verdict(agreement_failures, oracle_checked=oracle_checked)]
+
+    return _claims(
+        check,
+        ("edge-count-bound",
+         "a layout with n bars has at most (2s+3)*n distinct visibility edges",
+         {"trials": trials, "n_max": n_max, "seed": seed}),
+        ("sweep-oracle-agreement",
+         "sweep enumeration equals gap-by-gap subset testing (members and multiplicities)",
+         {"trials": trials, "oracle_n_max": oracle_n_max, "seed": seed}),
     )
-    agree = ClaimResult(
-        "sweep-oracle-agreement",
-        "sweep enumeration equals gap-by-gap subset testing (members and multiplicities)",
-        {"trials": trials, "oracle_n_max": oracle_n_max, "seed": seed},
-        not agreement_failures,
-        {"oracle_checked": oracle_checked, "failures": agreement_failures},
-        elapsed,
-    )
-    return bound, agree
 
 
-def claim_containment_agreement(
-    pairs: int = 10000, seed: int = DEFAULT_SEED
-) -> ClaimResult:
+def claim_containment_agreement() -> list[ClaimResult]:
     """contains() agrees with plain enumeration on random and exhaustive inputs."""
+    pairs, seed = 10000, DEFAULT_SEED
 
     def check():
         rng = random.Random(seed)
@@ -265,18 +270,20 @@ def claim_containment_agreement(
                 exhaustive += 1
                 if contains(host, pat) != contains_oracle(host, pat):
                     mismatches += 1
-        return mismatches == 0, {"pairs": pairs, "exhaustive": exhaustive, "mismatches": mismatches}
+        observed = {"pairs": pairs, "exhaustive": exhaustive, "mismatches": mismatches}
+        return [(mismatches == 0, observed)]
 
-    return _claim(
-        "containment-agreement",
-        "pruned containment equals exhaustive subset enumeration",
-        {"pairs": pairs, "seed": seed},
+    return _claims(
         check,
+        ("containment-agreement",
+         "pruned containment equals exhaustive subset enumeration",
+         {"pairs": pairs, "seed": seed}),
     )
 
 
-def claim_weight_column_inequality(mn_max: int = 4, k_max: int = 3) -> ClaimResult:
+def claim_weight_column_inequality() -> list[ClaimResult]:
     """ex(m,n,P) <= k*(ex_k(m,P)+n) for the all-ones 2x2 block and the diamond."""
+    mn_max, k_max = 4, 3
 
     def check():
         failures = []
@@ -289,263 +296,215 @@ def claim_weight_column_inequality(mn_max: int = 4, k_max: int = 3) -> ClaimResu
                         rep = check_range_overlap_inequality(pat, m, n, k)
                         if not rep.holds:
                             failures.append((name, m, n, k))
-        return not failures, {"cases": cases, "failures": failures}
+        return [_verdict(failures, cases=cases)]
 
-    return _claim(
-        "weight-column-inequality",
-        "max weight of an m x n avoider is at most k*(column extremal value + n)",
-        {"mn_max": mn_max, "k_max": k_max},
+    return _claims(
         check,
+        ("weight-column-inequality",
+         "max weight of an m x n avoider is at most k*(column extremal value + n)",
+         {"mn_max": mn_max, "k_max": k_max}),
     )
 
 
-def claim_cluster_split(
-    count: int = 1000, size_max: int = 10, ks=(2, 3), seed: int = DEFAULT_SEED
-) -> tuple[ClaimResult, ClaimResult]:
+def claim_cluster_split(count: int = 1000, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     """Splitting preserves avoidance of range-overlapping patterns and loses
     at most (k-1) ones per original column."""
-    rng = random.Random(seed)
-    preserve_failures = []
-    accounting_failures = []
-    start = time.perf_counter()
-    for pat, name in ((pattern_P(2, 2), "P22"), (DIAMOND, "diamond")):
-        pset = PatternSet.of(pat)
-        for t in range(count):
-            rows = rng.randint(1, size_max)
-            cols = rng.randint(1, size_max)
-            mat = random_avoider(rng, rows, cols, pset)
-            for k in ks:
-                split = cluster_split(mat, k)
-                if split.cols and contains(split, pat):
-                    preserve_failures.append((name, t, k))
-                if mat.weight > k * (split.cols + mat.cols):
-                    accounting_failures.append((name, t, k))
-                if any(bits.bit_count() != k for bits in split.columns()):
-                    accounting_failures.append((name, t, k, "column size"))
-    elapsed = time.perf_counter() - start
-    preserve = ClaimResult(
-        "cluster-split-preserves",
-        "cluster splitting keeps the matrix free of any range-overlapping pattern it avoided",
-        {"count": count, "size_max": size_max, "ks": list(ks), "seed": seed},
-        not preserve_failures,
-        {"failures": preserve_failures},
-        elapsed,
+    size_max, ks = 10, (2, 3)
+
+    def check():
+        rng = random.Random(seed)
+        preserve_failures = []
+        accounting_failures = []
+        for pat, name in ((pattern_P(2, 2), "P22"), (DIAMOND, "diamond")):
+            pset = PatternSet.of(pat)
+            for t in range(count):
+                rows = rng.randint(1, size_max)
+                cols = rng.randint(1, size_max)
+                mat = random_avoider(rng, rows, cols, pset)
+                for k in ks:
+                    split = cluster_split(mat, k)
+                    if split.cols and contains(split, pat):
+                        preserve_failures.append((name, t, k))
+                    if mat.weight > k * (split.cols + mat.cols):
+                        accounting_failures.append((name, t, k))
+                    if any(bits.bit_count() != k for bits in split.columns()):
+                        accounting_failures.append((name, t, k, "column size"))
+        return [_verdict(preserve_failures), _verdict(accounting_failures)]
+
+    params = {"count": count, "size_max": size_max, "ks": list(ks), "seed": seed}
+    return _claims(
+        check,
+        ("cluster-split-preserves",
+         "cluster splitting keeps the matrix free of any range-overlapping pattern it avoided",
+         params),
+        ("cluster-split-weight-accounting",
+         "weight(A) <= k * (cols(A') + cols(A)) and every split column has exactly k ones",
+         params),
     )
-    accounting = ClaimResult(
-        "cluster-split-weight-accounting",
-        "weight(A) <= k * (cols(A') + cols(A)) and every split column has exactly k ones",
-        {"count": count, "size_max": size_max, "ks": list(ks), "seed": seed},
-        not accounting_failures,
-        {"failures": accounting_failures},
-        elapsed,
-    )
-    return preserve, accounting
 
 
-def claim_t_family(r_max: int = 3, s_max: int = 1) -> tuple[ClaimResult, ClaimResult]:
+def claim_t_family() -> list[ClaimResult]:
     """Family size ((s+1)!)^2 * r!, fixed dimensions and weight, no duplicates;
     every member for (r,s) = (3,1) contains L3."""
-    start = time.perf_counter()
-    gen_failures = []
-    for r in range(0, r_max + 1):
-        for s in range(0, s_max + 1):
-            params = TrsParams(r, s)
-            fam = generate_T(params)
-            expected = factorial(s + 1) ** 2 * factorial(r)
-            mats = fam.patterns
-            ok = (
-                len(mats) == expected
-                and len(set(mats)) == expected
-                and all(
-                    m.rows == params.member_rows and m.cols == params.member_cols
-                    for m in mats
+    r_max, s_max = 3, 1
+    l3_family = generate_T(TrsParams(3, 1))
+
+    def check():
+        gen_failures = []
+        for r in range(0, r_max + 1):
+            for s in range(0, s_max + 1):
+                params = TrsParams(r, s)
+                fam = generate_T(params)
+                expected = factorial(s + 1) ** 2 * factorial(r)
+                mats = fam.patterns
+                ok = (
+                    len(mats) == expected
+                    and len(set(mats)) == expected
+                    and all(
+                        m.rows == params.member_rows and m.cols == params.member_cols
+                        for m in mats
+                    )
+                    and all(m.weight == 2 * r + 2 * s + 2 for m in mats)
                 )
-                and all(m.weight == 2 * r + 2 * s + 2 for m in mats)
-            )
-            if not ok:
-                gen_failures.append((r, s))
-    diamond_fam = generate_T(TrsParams(1, 0))
-    if len(diamond_fam) != 1 or diamond_fam.patterns[0] != Matrix01.from_ones(
-        3, 3, ((0, 1), (1, 0), (1, 2), (2, 1))
-    ):
-        gen_failures.append(("diamond",))
-    l3 = pattern_L(3)
-    l3_failures = [
-        idx
-        for idx, member in enumerate(generate_T(TrsParams(3, 1)))
-        if not contains(member, l3)
-    ]
-    elapsed = time.perf_counter() - start
-    gen = ClaimResult(
-        "t-family-generation",
-        "family for (r,s) has ((s+1)!)^2 * r! distinct members of fixed size and weight",
-        {"r_max": r_max, "s_max": s_max},
-        not gen_failures,
-        {"failures": gen_failures},
-        elapsed,
+                if not ok:
+                    gen_failures.append((r, s))
+        diamond_fam = generate_T(TrsParams(1, 0))
+        if len(diamond_fam) != 1 or diamond_fam.patterns[0] != Matrix01.from_ones(
+            3, 3, ((0, 1), (1, 0), (1, 2), (2, 1))
+        ):
+            gen_failures.append(("diamond",))
+        l3 = pattern_L(3)
+        l3_failures = [idx for idx, member in enumerate(l3_family) if not contains(member, l3)]
+        return [_verdict(gen_failures), _verdict(l3_failures)]
+
+    return _claims(
+        check,
+        ("t-family-generation",
+         "family for (r,s) has ((s+1)!)^2 * r! distinct members of fixed size and weight",
+         {"r_max": r_max, "s_max": s_max}),
+        ("t-members-contain-l3",
+         "every member of the (3,1) family contains the pattern L3",
+         {"members": len(l3_family)}),
     )
-    l3c = ClaimResult(
-        "t-members-contain-l3",
-        "every member of the (3,1) family contains the pattern L3",
-        {"members": len(generate_T(TrsParams(3, 1)))},
-        not l3_failures,
-        {"failures": l3_failures},
-        elapsed,
-    )
-    return gen, l3c
 
 
 def claim_kvis(
     random_trials: int = 40, seed: int = DEFAULT_SEED, exhaustive_n=(3, 4)
-) -> tuple[ClaimResult, ClaimResult, ClaimResult]:
+) -> list[ClaimResult]:
     """Multiplicity below r on avoider-derived hypergraphs, plus the weight bound."""
-    start = time.perf_counter()
-    no_edge_failures = []
-    checked_exhaustive = 0
-    for n in exhaustive_n:
-        col_mask = (1 << n) - 1
-        for mask in range(1 << (n * n)):
-            host = Matrix01(n, n, tuple((mask >> (r * n)) & col_mask for r in range(n)))
-            if contains(host, DIAMOND):
-                continue
-            checked_exhaustive += 1
-            _, edges = matrix_to_visibility(host, 1, 0)
-            rep = check_avoider_weight_bound(host, 1, 0)
-            if edges or not rep.holds or host.weight > 4 * n:
-                no_edge_failures.append((n, mask))
-    t_no_edges = time.perf_counter() - start
 
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    mult_failures = []
-    weight_failures = []
-    random_checked = 0
-    for r, s in ((2, 0), (1, 1), (3, 1)):
-        fam = generate_T(TrsParams(r, s))
-        for t in range(random_trials):
-            n = rng.choice((6, 9, 12))
-            if rng.random() < 0.3 and n <= 9:
-                mat = greedy_avoider(rng, n, n, fam)
-            else:
-                mat = random_avoider(rng, n, n, fam)
-            random_checked += 1
-            _, edges = matrix_to_visibility(mat, r, s)
-            if any(e.multiplicity > r - 1 for e in edges):
-                mult_failures.append((r, s, t))
-            rep = check_avoider_weight_bound(mat, r, s)
-            if not rep.holds:
-                weight_failures.append((r, s, t))
-    t_random = time.perf_counter() - start
+    def check_exhaustive():
+        no_edge_failures = []
+        checked_exhaustive = 0
+        for n in exhaustive_n:
+            col_mask = (1 << n) - 1
+            for mask in range(1 << (n * n)):
+                host = Matrix01(n, n, tuple((mask >> (r * n)) & col_mask for r in range(n)))
+                if contains(host, DIAMOND):
+                    continue
+                checked_exhaustive += 1
+                _, edges = matrix_to_visibility(host, 1, 0)
+                rep = check_avoider_weight_bound(host, 1, 0)
+                if edges or not rep.holds or host.weight > 4 * n:
+                    no_edge_failures.append((n, mask))
+        return [_verdict(no_edge_failures[:5], checked=checked_exhaustive)]
 
-    no_edges = ClaimResult(
-        "visibility-no-edges-r1s0",
-        "a diamond-avoiding matrix yields a hypergraph with no witnessed edge and weight <= 4n",
-        {"exhaustive_n": list(exhaustive_n)},
-        not no_edge_failures,
-        {"checked": checked_exhaustive, "failures": no_edge_failures[:5]},
-        t_no_edges,
+    def check_random():
+        rng = random.Random(seed)
+        mult_failures = []
+        weight_failures = []
+        random_checked = 0
+        for r, s in ((2, 0), (1, 1), (3, 1)):
+            fam = generate_T(TrsParams(r, s))
+            for t in range(random_trials):
+                n = rng.choice((6, 9, 12))
+                if rng.random() < 0.3 and n <= 9:
+                    mat = greedy_avoider(rng, n, n, fam)
+                else:
+                    mat = random_avoider(rng, n, n, fam)
+                random_checked += 1
+                _, edges = matrix_to_visibility(mat, r, s)
+                if any(e.multiplicity > r - 1 for e in edges):
+                    mult_failures.append((r, s, t))
+                rep = check_avoider_weight_bound(mat, r, s)
+                if not rep.holds:
+                    weight_failures.append((r, s, t))
+        return [
+            _verdict(mult_failures, checked=random_checked),
+            _verdict(weight_failures, checked=random_checked),
+        ]
+
+    no_edges = _claims(
+        check_exhaustive,
+        ("visibility-no-edges-r1s0",
+         "a diamond-avoiding matrix yields a hypergraph with no witnessed edge and weight <= 4n",
+         {"exhaustive_n": list(exhaustive_n)}),
     )
-    mult = ClaimResult(
-        "visibility-multiplicity-bound",
-        "avoiding the (r,s) family caps every edge's witness-column multiplicity at r-1",
-        {"random_trials": random_trials, "seed": seed},
-        not mult_failures,
-        {"checked": random_checked, "failures": mult_failures},
-        t_random,
+    params = {"random_trials": random_trials, "seed": seed}
+    return no_edges + _claims(
+        check_random,
+        ("visibility-multiplicity-bound",
+         "avoiding the (r,s) family caps every edge's witness-column multiplicity at r-1",
+         params),
+        ("avoider-weight-bound",
+         "weight of an n x n (r,s)-family avoider is at most (3s+3+r)n + (r-1)(2s+3)(n-r)",
+         params),
     )
-    weightb = ClaimResult(
-        "avoider-weight-bound",
-        "weight of an n x n (r,s)-family avoider is at most (3s+3+r)n + (r-1)(2s+3)(n-r)",
-        {"random_trials": random_trials, "seed": seed},
-        not weight_failures,
-        {"checked": random_checked, "failures": weight_failures},
-        t_random,
-    )
-    return no_edges, mult, weightb
 
 
-def claim_induction(m_max: int = 5, k_max: int = 4, r: int = 2) -> tuple[ClaimResult, ClaimResult]:
+def claim_induction() -> list[ClaimResult]:
     """Induction witnesses stay valid and the base degree obeys r*(m-r)."""
-    start = time.perf_counter()
-    witness_failures = []
-    base_failures = []
-    p_r2 = pattern_P(r, 2)
-    for m in range(r, m_max + 1):
-        base = induction_base(m, r)
-        if base.delta > r * (m - r):
-            base_failures.append((m, base.delta))
-        graph = build_column_graph(base.matrix, r)
-        colors = greedy_coloring(graph)
-        adj = graph.adjacency()
-        if any(colors[a] == colors[b] for a in range(graph.n) for b in adj[a]):
-            base_failures.append((m, "improper"))
-        if colors and max(colors) + 1 > graph.max_degree + 1:
-            base_failures.append((m, "too many colors"))
-        for k in range(r, k_max + 1):
-            res = lower_bound_witness(m, r, k)
-            wit = res.witness
-            ok = (
-                wit.cols == comb(m, r)
-                and all(bits.bit_count() == k for bits in wit.columns())
-                and not contains(wit, p_r2)
-            )
-            if not ok:
-                witness_failures.append((m, k))
-            state = induction_base(m, r)
-            for _ in range(k - r):
-                nxt = coloring_induction_step(state, r)
-                if not degree_growth_bound(state, nxt, r):
-                    witness_failures.append((m, k, "degree growth"))
-                state = nxt
-    elapsed = time.perf_counter() - start
-    wit = ClaimResult(
-        "induction-witness-valid",
-        "the grown witness has C(m,r) columns, k ones per column and avoids the all-ones r x 2 block",
-        {"m_max": m_max, "k_max": k_max, "r": r},
-        not witness_failures,
-        {"failures": witness_failures},
-        elapsed,
+    m_max, k_max, r = 5, 4, 2
+
+    def check():
+        witness_failures = []
+        base_failures = []
+        p_r2 = pattern_P(r, 2)
+        for m in range(r, m_max + 1):
+            base = induction_base(m, r)
+            if base.delta > r * (m - r):
+                base_failures.append((m, base.delta))
+            graph = build_column_graph(base.matrix, r)
+            colors = greedy_coloring(graph)
+            adj = graph.adjacency()
+            if any(colors[a] == colors[b] for a in range(graph.n) for b in adj[a]):
+                base_failures.append((m, "improper"))
+            if colors and max(colors) + 1 > graph.max_degree + 1:
+                base_failures.append((m, "too many colors"))
+            for k in range(r, k_max + 1):
+                res = lower_bound_witness(m, r, k)
+                wit = res.witness
+                ok = (
+                    wit.cols == comb(m, r)
+                    and all(bits.bit_count() == k for bits in wit.columns())
+                    and not contains(wit, p_r2)
+                )
+                if not ok:
+                    witness_failures.append((m, k))
+                state = induction_base(m, r)
+                for _ in range(k - r):
+                    nxt = coloring_induction_step(state, r)
+                    if not degree_growth_bound(state, nxt, r):
+                        witness_failures.append((m, k, "degree growth"))
+                    state = nxt
+        return [_verdict(witness_failures), _verdict(base_failures)]
+
+    return _claims(
+        check,
+        ("induction-witness-valid",
+         "the grown witness has C(m,r) columns, k ones per column and avoids the all-ones r x 2 block",
+         {"m_max": m_max, "k_max": k_max, "r": r}),
+        ("induction-base-degree-bound",
+         "base column graph degree is at most r*(m-r); greedy coloring is proper with <= degree+1 colors",
+         {"m_max": m_max, "r": r}),
     )
-    base = ClaimResult(
-        "induction-base-degree-bound",
-        "base column graph degree is at most r*(m-r); greedy coloring is proper with <= degree+1 colors",
-        {"m_max": m_max, "r": r},
-        not base_failures,
-        {"failures": base_failures},
-        elapsed,
-    )
-    return wit, base
 
 
-def claim_boundary_and_monotone(n_max: int = 5, seed: int = DEFAULT_SEED) -> tuple[ClaimResult, ClaimResult]:
-    """Boundary semantics of ex_columns and the weight floor ex(n,n,{M}) >= n."""
-    start = time.perf_counter()
-    boundary_failures = []
-    p22 = PatternSet.of(pattern_P(2, 2))
-    for m in range(1, 5):
-        res = ex_columns(m, m + 1, p22)
-        if res.value != 0 or not res.exact:
-            boundary_failures.append(("k>m", m))
-    if ex_columns(5, 1, p22).value != UNBOUNDED:
-        boundary_failures.append(("unbounded",))
-    for m in range(2, 7):
-        for k in (2, 3):
-            if k > m:
-                continue
-            for c in (2, 3):
-                pk = PatternSet.of(pattern_P(k, c))
-                if ex_columns(m, k, pk).value > (c - 1) * comb(m, k):
-                    boundary_failures.append(("cap", m, k, c))
-    mono1 = check_monotonicity(4, p22, range(1, 6))
-    mono2 = check_monotonicity(4, PatternSet.of(DIAMOND), range(1, 5))
-    if not mono1.nonincreasing or not mono2.nonincreasing:
-        boundary_failures.append(("monotone",))
-    if mono1.values[-1] != 0:
-        boundary_failures.append(("k>m tail",))
-    boundary_elapsed = time.perf_counter() - start
+def claim_boundary_and_monotone(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
+    """Boundary semantics of ex_columns and the weight floor ex(n,n,{M}) >= n.
 
-    start = time.perf_counter()
-    floor_failures = []
+    The seed is only recorded: the boundary cases draw no random numbers."""
+    n_max = 5
     named = [
         pattern_P(1, 2),
         pattern_P(2, 1),
@@ -558,35 +517,58 @@ def claim_boundary_and_monotone(n_max: int = 5, seed: int = DEFAULT_SEED) -> tup
         pattern_L(3),
         generate_T(TrsParams(0, 0)).patterns[0],
     ]
-    for n in range(2, n_max + 1):
-        for idx, pat in enumerate(named):
-            res = ex_weight(n, n, PatternSet.of(pat), budget=40000)
-            if res.value < n:
-                floor_failures.append((n, idx))
-            if not avoids_all(res.witness, PatternSet.of(pat)):
-                floor_failures.append((n, idx, "witness"))
-            if res.witness.weight != res.value:
-                floor_failures.append((n, idx, "weight"))
-    floor_elapsed = time.perf_counter() - start
 
-    boundary = ClaimResult(
-        "columns-boundary-cases",
-        "k > m gives 0, low k gives unbounded, values never exceed the pigeonhole cap, "
-        "values never increase with k",
-        {"seed": seed},
-        not boundary_failures,
-        {"failures": boundary_failures, "monotone_values": list(mono1.values)},
-        boundary_elapsed,
+    def check_boundary():
+        boundary_failures = []
+        p22 = PatternSet.of(pattern_P(2, 2))
+        for m in range(1, 5):
+            res = ex_columns(m, m + 1, p22)
+            if res.value != 0 or not res.exact:
+                boundary_failures.append(("k>m", m))
+        if ex_columns(5, 1, p22).value != UNBOUNDED:
+            boundary_failures.append(("unbounded",))
+        for m in range(2, 7):
+            for k in (2, 3):
+                if k > m:
+                    continue
+                for c in (2, 3):
+                    pk = PatternSet.of(pattern_P(k, c))
+                    if ex_columns(m, k, pk).value > (c - 1) * comb(m, k):
+                        boundary_failures.append(("cap", m, k, c))
+        mono1 = check_monotonicity(4, p22, range(1, 6))
+        mono2 = check_monotonicity(4, PatternSet.of(DIAMOND), range(1, 5))
+        if not mono1.nonincreasing or not mono2.nonincreasing:
+            boundary_failures.append(("monotone",))
+        if mono1.values[-1] != 0:
+            boundary_failures.append(("k>m tail",))
+        observed = {"failures": boundary_failures, "monotone_values": list(mono1.values)}
+        return [(not boundary_failures, observed)]
+
+    def check_floor():
+        floor_failures = []
+        for n in range(2, n_max + 1):
+            for idx, pat in enumerate(named):
+                res = ex_weight(n, n, PatternSet.of(pat), budget=40000)
+                if res.value < n:
+                    floor_failures.append((n, idx))
+                if not avoids_all(res.witness, PatternSet.of(pat)):
+                    floor_failures.append((n, idx, "witness"))
+                if res.witness.weight != res.value:
+                    floor_failures.append((n, idx, "weight"))
+        return [_verdict(floor_failures)]
+
+    return _claims(
+        check_boundary,
+        ("columns-boundary-cases",
+         "k > m gives 0, low k gives unbounded, values never exceed the pigeonhole cap, "
+         "values never increase with k",
+         {"seed": seed}),
+    ) + _claims(
+        check_floor,
+        ("weight-at-least-n",
+         "max weight of an n x n avoider of a single pattern with >= 2 ones is at least n",
+         {"n_max": n_max, "patterns": len(named)}),
     )
-    floor = ClaimResult(
-        "weight-at-least-n",
-        "max weight of an n x n avoider of a single pattern with >= 2 ones is at least n",
-        {"n_max": n_max, "patterns": len(named)},
-        not floor_failures,
-        {"failures": floor_failures},
-        floor_elapsed,
-    )
-    return boundary, floor
 
 
 # ---------------------------------------------------------------------------
@@ -603,35 +585,30 @@ def _scaled(base: int, scale: float) -> int:
     return max(1, int(round(count)))
 
 
+# Suite name -> its claims at a (scale, seed); a suite's counts are scaled in
+# the order its claims run, so an oversized scale fails at the same claim.
+SUITES = {
+    "pigeonhole": lambda scale, seed: claim_columns_exact_formula() + claim_pigeonhole_witness(),
+    "edges": lambda scale, seed: claim_edge_bounds(_scaled(1000, scale), seed),
+    "rangeo": lambda scale, seed: (
+        claim_weight_column_inequality() + claim_cluster_split(_scaled(1000, scale), seed)
+    ),
+    "kvis": lambda scale, seed: claim_t_family() + claim_kvis(
+        _scaled(40, scale), seed, (3, 4) if scale >= 0.5 else (3,)
+    ),
+    "induction": lambda scale, seed: claim_induction(),
+    "monotone": lambda scale, seed: claim_boundary_and_monotone(seed),
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     if not isfinite(scale) or scale <= 0:
         raise ValueError(f"scale must be finite and positive, got {scale}")
-    if name == "pigeonhole":
-        return [
-            claim_columns_exact_formula(),
-            claim_pigeonhole_witness(),
-        ]
-    if name == "edges":
-        return list(claim_edge_bounds(trials=_scaled(1000, scale), seed=seed))
-    if name == "rangeo":
-        out = [claim_weight_column_inequality()]
-        out.extend(claim_cluster_split(count=_scaled(1000, scale), seed=seed))
-        return out
-    if name == "kvis":
-        out = list(claim_t_family())
-        exhaustive = (3, 4) if scale >= 0.5 else (3,)
-        out.extend(
-            claim_kvis(random_trials=_scaled(40, scale), seed=seed, exhaustive_n=exhaustive)
-        )
-        return out
-    if name == "induction":
-        return list(claim_induction())
-    if name == "monotone":
-        return list(claim_boundary_and_monotone(seed=seed))
-    raise ValueError(f"unknown suite {name!r}")
-
-
-SUITE_NAMES = ("pigeonhole", "edges", "rangeo", "kvis", "induction", "monotone")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](scale, seed)
 
 
 def run_suites(names, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:

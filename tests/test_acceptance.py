@@ -44,8 +44,8 @@ def report(criterion: str, passed: bool, detail: str, started: float):
 
 def test_criterion_1_exact_column_formula():
     start = time.perf_counter()
-    res = claim_columns_exact_formula(m_max=6, k_max=3, cs=(2, 3))
-    wit = claim_pigeonhole_witness(m_max=6, k_max=3, cs=(2, 3))
+    [res] = claim_columns_exact_formula()
+    [wit] = claim_pigeonhole_witness()
     report(
         "1 exact column formula (c-1)*C(m,k)",
         res.passed and wit.passed,
@@ -56,9 +56,7 @@ def test_criterion_1_exact_column_formula():
 
 def test_criterion_2_edge_bound_and_oracle():
     start = time.perf_counter()
-    bound, agree = claim_edge_bounds(
-        trials=1000, n_max=50, oracle_n_max=12, seed=DEFAULT_SEED
-    )
+    bound, agree = claim_edge_bounds()
     report(
         "2 edge bound (2s+3)n and sweep/oracle equality",
         bound.passed and agree.passed,
@@ -69,7 +67,7 @@ def test_criterion_2_edge_bound_and_oracle():
 
 def test_criterion_3_containment_oracle_equivalence():
     start = time.perf_counter()
-    res = claim_containment_agreement(pairs=10000, seed=DEFAULT_SEED)
+    [res] = claim_containment_agreement()
     report(
         "3 containment equals oracle",
         res.passed,
@@ -81,7 +79,7 @@ def test_criterion_3_containment_oracle_equivalence():
 
 def test_criterion_4_weight_column_inequality():
     start = time.perf_counter()
-    res = claim_weight_column_inequality(mn_max=4, k_max=3)
+    [res] = claim_weight_column_inequality()
     report(
         "4 ex(m,n,P) <= k*(ex_k(m,P)+n)",
         res.passed,
@@ -92,9 +90,7 @@ def test_criterion_4_weight_column_inequality():
 
 def test_criterion_5_cluster_split_preservation():
     start = time.perf_counter()
-    preserve, accounting = claim_cluster_split(
-        count=1000, size_max=10, ks=(2, 3), seed=DEFAULT_SEED
-    )
+    preserve, accounting = claim_cluster_split()
     report(
         "5 cluster split preserves avoidance and weight accounting",
         preserve.passed and accounting.passed,
@@ -105,7 +101,7 @@ def test_criterion_5_cluster_split_preservation():
 
 def test_criterion_6_t_family():
     start = time.perf_counter()
-    gen, l3 = claim_t_family(r_max=3, s_max=1)
+    gen, l3 = claim_t_family()
     report(
         "6 T family counts, diamond, and L3 containment",
         gen.passed and l3.passed,
@@ -116,9 +112,7 @@ def test_criterion_6_t_family():
 
 def test_criterion_7_kvis_multiplicity_and_weight():
     start = time.perf_counter()
-    no_edges, mult, weight = claim_kvis(
-        random_trials=40, seed=DEFAULT_SEED, exhaustive_n=(3, 4)
-    )
+    no_edges, mult, weight = claim_kvis()
     report(
         "7 multiplicity < r and (3s+3+r)n+(r-1)(2s+3)(n-r) weight bound",
         no_edges.passed and mult.passed and weight.passed,
@@ -130,7 +124,7 @@ def test_criterion_7_kvis_multiplicity_and_weight():
 
 def test_criterion_8_induction_construction():
     start = time.perf_counter()
-    wit, base = claim_induction(m_max=5, k_max=4, r=2)
+    wit, base = claim_induction()
     report(
         "8 induction witness C(m,2) cols, k per col, degree bounds",
         wit.passed and base.passed,
@@ -141,7 +135,7 @@ def test_criterion_8_induction_construction():
 
 def test_criterion_9_boundary_semantics():
     start = time.perf_counter()
-    boundary, floor = claim_boundary_and_monotone(n_max=5, seed=DEFAULT_SEED)
+    boundary, floor = claim_boundary_and_monotone()
     report(
         "9 boundary semantics and weight floor n",
         boundary.passed and floor.passed,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from itertools import combinations
@@ -342,6 +343,38 @@ def test_compute_never_raises(tmp_path):
     check()
 
 
+# `verify all --scale 0.02` at the default seed: id -> (params, observed).
+# Every value is deterministic; only runtime_s is left out.
+RECORDED_CLAIMS_AT_SCALE_002 = {
+    "avoider-weight-bound": (
+        {"random_trials": 1, "seed": 20260809}, {"checked": 3, "failures": []}),
+    "cluster-split-preserves": (
+        {"count": 20, "size_max": 10, "ks": [2, 3], "seed": 20260809}, {"failures": []}),
+    "cluster-split-weight-accounting": (
+        {"count": 20, "size_max": 10, "ks": [2, 3], "seed": 20260809}, {"failures": []}),
+    "columns-boundary-cases": (
+        {"seed": 20260809}, {"failures": [], "monotone_values": [float("inf"), 6, 1, 1, 0]}),
+    "columns-exact-formula": (
+        {"m_max": 6, "k_max": 3, "cs": [2, 3]}, {"cases": 30, "failures": []}),
+    "edge-count-bound": (
+        {"trials": 20, "n_max": 50, "seed": 20260809},
+        {"bound_failures": [], "witness_failures": []}),
+    "induction-base-degree-bound": ({"m_max": 5, "r": 2}, {"failures": []}),
+    "induction-witness-valid": ({"m_max": 5, "k_max": 4, "r": 2}, {"failures": []}),
+    "pigeonhole-witness-valid": ({"m_max": 6, "k_max": 3, "cs": [2, 3]}, {"failures": []}),
+    "sweep-oracle-agreement": (
+        {"trials": 20, "oracle_n_max": 12, "seed": 20260809},
+        {"oracle_checked": 5, "failures": []}),
+    "t-family-generation": ({"r_max": 3, "s_max": 1}, {"failures": []}),
+    "t-members-contain-l3": ({"members": 24}, {"failures": []}),
+    "visibility-multiplicity-bound": (
+        {"random_trials": 1, "seed": 20260809}, {"checked": 3, "failures": []}),
+    "visibility-no-edges-r1s0": ({"exhaustive_n": [3]}, {"checked": 480, "failures": []}),
+    "weight-at-least-n": ({"n_max": 5, "patterns": 10}, {"failures": []}),
+    "weight-column-inequality": ({"mn_max": 4, "k_max": 3}, {"cases": 96, "failures": []}),
+}
+
+
 class TestVerify:
     def test_pigeonhole_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "pigeonhole")
@@ -398,6 +431,8 @@ class TestVerify:
         ids = [c["claim_id"] for c in doc["claims"]]
         assert len(ids) == len(set(ids))
         assert all(c["description"] for c in doc["claims"])
+        got = {c["claim_id"]: (c["params"], c["observed"]) for c in doc["claims"]}
+        assert got == RECORDED_CLAIMS_AT_SCALE_002
 
     def test_sweep_does_not_require_the_swept_flag(self, capsys, p22_file):
         code, out, _ = run_cli(
@@ -484,17 +519,43 @@ class TestTransform:
         assert code == 2
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports exmat from this checkout's src."""
+def run_python(*args, **kwargs):
+    """Run a fresh interpreter that imports exmat from this checkout's src;
+    kwargs go to subprocess.run."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+def _cap_address_space():
+    limit = 400 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_module_entry_point_runs():
     proc = run_python("-m", "exmat", "generate", "P", "--r", "1", "--c", "2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "columns", "--m", "100000", "--k", "2"],
+        ["generate", "pigeonhole", "--m", "1000000", "--k", "500000", "--c", "2"],
+        ["generate", "Kprime", "--m", "100000", "--k", "1"],
+        ["generate", "P", "--r", "30000", "--c", "30000"],
+        ["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"],
+    ],
+)
+def test_huge_integer_arguments_are_refused_at_once(argv, p22_file):
+    # The child runs with a 400 MiB address space and a 5 s timeout, so an
+    # oversized build fails the test instead of exhausting the machine.
+    if argv[0] == "compute":
+        argv = argv + ["--pattern", p22_file]
+    proc = run_python("-m", "exmat", *argv, timeout=5, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert "limit" in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,21 @@ class TestRangeOverlapping:
         with pytest.raises(DegeneratePatternError):
             is_range_overlapping(m)
 
+    def test_interval_rule_matches_pairwise_definition(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(3000):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+            supports = tuple(rng.randint(1, (1 << rows) - 1) for _ in range(cols))
+            m = transpose(Matrix01(cols, rows, supports))
+            pairwise = all(
+                a.top <= b.bottom and b.top <= a.bottom
+                for a, b in combinations(column_ranges(m), 2)
+            )
+            assert is_range_overlapping(m) == pairwise
+            seen.add(pairwise)
+        assert seen == {True, False}
+
     @given(matrices(max_rows=5, max_cols=5))
     def test_invariant_under_reflection_and_column_permutation(self, m):
         if any(not bits for bits in m.columns()):
