@@ -18,6 +18,13 @@ from .search import ExtremalResult
 # pigeonhole_witness refuses to build more columns than this.
 PIGEONHOLE_COLUMN_LIMIT = 1 << 16
 
+# lower_bound_witness refuses more rows or C(m, r) columns than this, since
+# every induction step builds the column graph over all pairs of columns,
+# and more than this many induction steps.  At both limits it takes a few
+# seconds.
+INDUCTION_COLUMN_LIMIT = 1 << 10
+INDUCTION_STEP_LIMIT = 16
+
 
 def cluster_split(matrix: Matrix01, k: int) -> Matrix01:
     """Regroup each column's ones, top down, into size-k clusters.
@@ -205,6 +212,12 @@ def lower_bound_witness(m: int, r: int, k: int) -> ExtremalResult:
     """
     if not k >= r >= 2:
         raise ValueError("need k >= r >= 2")
+    # m is tested first, so C(m, r) is computed for small m only; for r < m
+    # that refuses nothing more, as then C(m, r) >= m.
+    if m > INDUCTION_COLUMN_LIMIT or comb(m, r) > INDUCTION_COLUMN_LIMIT:
+        raise SizeLimitError(f"m and C(m,r) must not exceed the limit {INDUCTION_COLUMN_LIMIT}")
+    if k - r > INDUCTION_STEP_LIMIT:
+        raise SizeLimitError(f"k-r induction steps exceed the limit {INDUCTION_STEP_LIMIT}")
     state = induction_base(m, r)
     for _ in range(k - r):
         state = coloring_induction_step(state, r)

@@ -192,6 +192,10 @@ class ColumnRange:
 # only shrink as rows get placed, so the partial check is a sound prune.
 # Both stacks are plain lists, so pattern depth is bounded by memory, not by
 # Python's recursion limit.
+#
+# The searches' incremental checks pin the walk: a new cell gets a pattern
+# one pinned on it, row and column, for each one whose counts fit around the
+# cell (see _contains_using_cell); a new column gets the last pattern column.
 # ---------------------------------------------------------------------------
 
 
@@ -252,13 +256,39 @@ def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
     return True
 
 
+def _room(masks, i, j):
+    """Nonzero masks before and after masks[i], and set bits of masks[i]
+    below and above bit j."""
+    bits = masks[i]
+    return (
+        i - masks[:i].count(0),
+        len(masks) - 1 - i - masks[i + 1:].count(0),
+        (bits & ((1 << j) - 1)).bit_count(),
+        (bits >> j + 1).bit_count(),
+    )
+
+
 def _contains_using_cell(hrows, hm, n, pattern, r, c):
     """True iff an embedding exists that maps some pattern one onto host cell (r, c).
 
     This is exactly the new containment created by switching (r, c) from 0
-    to 1 in a previously avoiding host.
+    to 1 in a previously avoiding host.  A pattern one (a, b) is pinned onto
+    (r, c) only if host row r has at least as many ones left and right of c
+    as pattern row a has left and right of b, and the host at least as many
+    nonzero rows above and below r as the pattern above and below a.  An
+    embedding maps each of those ones and nonzero rows to a distinct one or
+    nonzero row on the same side, so a pin that fails a count has none.
+    When every cell after (r, c) in row-major order is zero, as in
+    ex_weight, only the last one of the pattern's last nonzero row is pinned.
     """
-    return any(_embeds(hrows, hm, n, pattern, (a, r), (b, c)) for a, b in pattern.ones())
+    h_above, h_below, h_left, h_right = _room(hrows, r, c)
+    for a, b in pattern.ones():
+        p_above, p_below, p_left, p_right = _room(pattern.row_bits, a, b)
+        if p_above > h_above or p_below > h_below or p_left > h_left or p_right > h_right:
+            continue
+        if _embeds(hrows, hm, n, pattern, (a, r), (b, c)):
+            return True
+    return False
 
 
 def _contains_using_last_col(hrows, hm, n, pattern):

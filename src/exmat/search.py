@@ -8,6 +8,8 @@ extending an avoiding matrix by one cell (or one appended column) can only
 create an embedding through that cell (that column), so only pinned
 embeddings are re-tested.  ex_columns handles a column as the sorted tuple
 of its rows; the support slots it fills are the subsets of that tuple.
+Capping each slot at cols-1 columns is exactly the containment test of an
+all-ones certificate pattern, so that pattern gets no pinned check.
 
 Boundary semantics for ex_columns:
   * k > m: the value is 0 (no column can hold k ones).
@@ -195,15 +197,15 @@ def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     return ExtremalResult(best_w, best, 1 << (m * n), True)
 
 
-def _finiteness_certificate(m: int, k: int, pats) -> tuple[int, int, int] | None:
-    """(rows, cols, cap) of the first pattern with at most k rows whose
+def _finiteness_certificate(m: int, k: int, pats) -> tuple[Matrix01, int] | None:
+    """(pattern, cap) of the first pattern with at most k rows whose
     pigeonhole cap (cols-1)*C(m, rows) is smallest, if any."""
     best = None
     for p in pats:
         if p.rows <= k:
             cap = (p.cols - 1) * comb(m, p.rows)
-            if best is None or cap < best[2]:
-                best = (p.rows, p.cols, cap)
+            if best is None or cap < best[1]:
+                best = (p, cap)
     return best
 
 
@@ -236,12 +238,13 @@ def ex_columns(
     height = len(ones) + len(gap)
     if any(avoids_all(Matrix01(height, width, b), patterns) for b in (ones + gap, gap + ones)):
         return ExtremalResult(UNBOUNDED, None, 0, True)
-    cert = _finiteness_certificate(m, k, pats)
-    if cert is None:
+    found = _finiteness_certificate(m, k, pats)
+    if found is None:
         raise UnknownBoundError(
             f"no pattern with at most k={k} rows and no unbounded certificate for m={m}"
         )
-    cert_rows, cert_cols, cap = cert
+    cert, cap = found
+    cert_rows, cert_cols = cert.rows, cert.cols
     if cap == 0:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
@@ -259,6 +262,11 @@ def ex_columns(
 
     occ = dict.fromkeys(combinations(range(m), cert_rows), 0)
     slack = cap
+
+    # The slot check is the containment test of an all-ones certificate, so
+    # its pinned check could never fire.
+    if cert == Matrix01.filled(cert_rows, cert_cols):
+        pats = tuple(p for p in pats if p != cert)
 
     host_rows = [0] * m
     chosen: list[tuple[int, ...]] = []

@@ -546,6 +546,8 @@ def test_module_entry_point_runs():
         ["generate", "Kprime", "--m", "100000", "--k", "1"],
         ["generate", "P", "--r", "30000", "--c", "30000"],
         ["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"],
+        ["generate", "lowerP", "--m", "300", "--r", "2", "--k", "3"],
+        ["generate", "lowerP", "--m", "5", "--r", "2", "--k", "100000"],
     ],
 )
 def test_huge_integer_arguments_are_refused_at_once(argv, p22_file):

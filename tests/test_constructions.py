@@ -24,6 +24,7 @@ from exmat import (
     pattern_P,
     pigeonhole_witness,
 )
+from exmat.constructions import INDUCTION_COLUMN_LIMIT, INDUCTION_STEP_LIMIT
 from exmat.patterns import TrsParams, generate_T
 from exmat.verify import random_avoider
 
@@ -241,3 +242,14 @@ class TestInduction:
     def test_requires_k_at_least_r(self):
         with pytest.raises(ValueError):
             lower_bound_witness(4, 3, 2)
+
+    def test_column_and_step_limits(self):
+        assert comb(46, 2) > INDUCTION_COLUMN_LIMIT >= comb(45, 2)
+        with pytest.raises(SizeLimitError):
+            lower_bound_witness(46, 2, 2)
+        tall = INDUCTION_COLUMN_LIMIT + 1  # C(m, m) = 1 column, but m rows
+        with pytest.raises(SizeLimitError):
+            lower_bound_witness(tall, tall, tall)
+        with pytest.raises(SizeLimitError):
+            lower_bound_witness(4, 2, 3 + INDUCTION_STEP_LIMIT)
+        assert lower_bound_witness(4, 2, 2 + INDUCTION_STEP_LIMIT).witness.cols == 6

@@ -27,6 +27,7 @@ from exmat import (
     permutation_matrix,
     transpose,
 )
+import exmat.matrix as matrix_module
 from exmat.matrix import _contains_using_cell, _contains_using_last_col, _embeds
 from exmat.patterns import TrsParams, generate_T
 
@@ -160,11 +161,51 @@ class TestPinnedChecks:
                 assert _embeds(host.row_bits, hm, n, pat, pin_row, pin_col) == expected
 
     def test_deep_pinned_checks_reach_the_last_row(self):
-        # 600 pinned searches of 600 placements each: this stays well under
-        # a second only while a placement costs one AND per pattern one
+        # one pinned search of 600 placements for each check: the row counts
+        # rule out every pattern one but the last, and a placement costs one
+        # AND per pattern one
         tall = Matrix01.filled(600, 1)
         assert _contains_using_cell(tall.row_bits, 600, 1, tall, 599, 0)
         assert _contains_using_last_col(tall.row_bits, 600, 1, tall)
+
+    def test_deep_cell_check_pins_only_the_last_pattern_one(self, monkeypatch):
+        # 1199 nonzero host rows lie above (1199, 0) and none below, so the
+        # last pattern one is the only one whose counts fit
+        tall = Matrix01.filled(1200, 1)
+        pins = []
+
+        def embeds(*args):
+            pins.append(args[4:])
+            return _embeds(*args)
+
+        monkeypatch.setattr(matrix_module, "_embeds", embeds)
+        assert _contains_using_cell(tall.row_bits, 1200, 1, tall, 1199, 0)
+        assert pins == [((1199, 1199), (0, 0))]
+
+    def test_cell_check_on_row_major_frontier_hosts(self):
+        # ex_weight's hosts: every cell after (r, c) in row-major order is
+        # zero.  A pattern tested as its own host at its last one has every
+        # one of the four counts exactly equal to the host's.
+        rng = random.Random(8)
+        for _ in range(3000):
+            p, q = rng.randint(1, 3), rng.randint(1, 3)
+            pat = Matrix01(p, q, tuple(rng.randrange(1 << q) for _ in range(p)))
+            if not pat.weight:
+                continue
+            hm, n = rng.randint(1, 5), rng.randint(1, 5)
+            r, c = rng.randrange(hm), rng.randrange(n)
+            rows = [rng.randrange(1 << n) | rng.randrange(1 << n) for _ in range(hm)]
+            rows[r] = rows[r] & ((1 << c) - 1) | 1 << c
+            rows[r + 1:] = [0] * (hm - r - 1)
+            frontier = Matrix01(hm, n, tuple(rows))
+            for host, (r, c) in ((frontier, (r, c)), (pat, list(pat.ones())[-1])):
+                expected = any(
+                    (rsel[a], csel[b]) == (r, c)
+                    for rsel, csel in brute_embeddings(host, pat)
+                    for a, b in pat.ones()
+                )
+                found = _contains_using_cell(host.row_bits, host.rows, host.cols, pat, r, c)
+                assert found == expected
 
     @given(matrices(max_rows=5, max_cols=5), small_patterns())
     def test_cell_check_matches_brute_force(self, host, pat):

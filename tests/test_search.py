@@ -29,6 +29,8 @@ from exmat import (
     pattern_P,
     transpose,
 )
+import exmat.matrix as matrix_module
+import exmat.search as search_module
 from exmat.patterns import TrsParams, generate_T
 
 from conftest import small_patterns
@@ -288,6 +290,16 @@ PINNED = [
      (10, 72, True, "1111110000\n1110001110\n1001101101\n0101011011\n0010110111")),
     ("columns", (5, 2, P22, {"shuffle_seed": 3}),
      (10, 136, True, "1001101000\n0100001011\n0000110110\n0011010001\n1110000100")),
+    # an all-ones certificate beside a pattern that is still checked
+    ("columns", (5, 2, PatternSet(P22.patterns + B101_011.patterns), {}),
+     (10, 6865, True, "1101001000\n0000001111\n0001110100\n0110100010\n1010010001")),
+    # an all-ones block that is not the certificate (3 rows > k)
+    ("columns", (5, 2, PatternSet.of(pattern_P(2, 2), pattern_P(3, 2)), {}),
+     (10, 101, True, "1111000000\n1000111000\n0100100110\n0010010101\n0001001011")),
+    # two equal all-ones blocks
+    ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), pattern_P(2, 3)), {}),
+     (20, 201, True, "11111111000000000000\n11000000111111000000\n00110000110000111100\n"
+      "00001100001100110011\n00000011000011001111")),
 ]
 
 
@@ -297,6 +309,42 @@ def test_pinned_values_and_node_counts(kind, args, expected):
     search = ex_weight if kind == "weight" else ex_columns
     res = search(a, b, pats, **options)
     assert (res.value, res.nodes_explored, res.exact, res.witness.to_text()) == expected
+
+
+class TestPinnedCallCounts:
+    def test_weight_runs_at_most_one_pinned_search_per_cell_check(self, monkeypatch):
+        counts = {"checks": 0, "embeds": 0, "pinned": 0, "most": 0}
+        real_embeds, real_check = matrix_module._embeds, search_module._contains_using_cell
+
+        def embeds(*args):
+            counts["embeds"] += 1
+            return real_embeds(*args)
+
+        def check(*args):
+            before = counts["embeds"]
+            found = real_check(*args)
+            counts["checks"] += 1
+            counts["pinned"] += counts["embeds"] - before
+            counts["most"] = max(counts["most"], counts["embeds"] - before)
+            return found
+
+        monkeypatch.setattr(matrix_module, "_embeds", embeds)
+        monkeypatch.setattr(search_module, "_contains_using_cell", check)
+        assert ex_weight(4, 4, PatternSet.of(DIAMOND)).nodes_explored == 1404
+        # a pin per pattern one would run 3279 pinned searches here
+        assert (counts["checks"], counts["pinned"], counts["most"]) == (820, 658, 1)
+
+    def test_block_certificate_runs_no_column_check(self, monkeypatch):
+        calls = []
+        real = search_module._contains_using_last_col
+
+        def check(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search_module, "_contains_using_last_col", check)
+        assert ex_columns(6, 2, P22).nodes_explored == 288
+        assert calls == []
 
 
 class TestInequalityReports:
