@@ -42,15 +42,12 @@ from .search import (
     ex_weight_oracle,
 )
 from .constructions import (
-    ColumnGraph,
-    InductionState,
     build_column_graph,
     cluster_split,
-    coloring_induction_step,
+    coloring_induction,
     construct_K_prime,
     degree_growth_bound,
     greedy_coloring,
-    induction_base,
     lower_bound_witness,
     pigeonhole_witness,
 )

@@ -12,17 +12,15 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 
 from .constructions import (
-    build_column_graph,
+    Rung,
     cluster_split,
-    coloring_induction_step,
+    coloring_induction,
     construct_K_prime,
-    greedy_coloring,
-    induction_base,
     lower_bound_witness,
     pigeonhole_witness,
-    InductionState,
 )
 from .matrix import (
     Matrix01,
@@ -161,23 +159,23 @@ def cmd_generate(args) -> int:
         print(pigeonhole_witness(args.m, args.k, args.c).to_text())
     elif fam == "lowerP":
         _need(args, "m", "r", "k")
-        res = lower_bound_witness(args.m, args.r, args.k)
+        rungs = lower_bound_witness(args.m, args.r, args.k)
+        witness = rungs[-1][0]
         if args.format == "json":
-            trace = _induction_trace(args.m, args.r, args.k)
             print(
                 json.dumps(
                     {
                         "schema": "1",
-                        "witness": res.witness.to_text(),
-                        "columns": res.witness.cols,
-                        "rows": res.witness.rows,
-                        "trace": trace,
+                        "witness": witness.to_text(),
+                        "columns": witness.cols,
+                        "rows": witness.rows,
+                        "trace": [_rung_record(rung) for rung in rungs],
                     },
                     indent=2,
                 )
             )
         else:
-            print(res.witness.to_text())
+            print(witness.to_text())
     return EXIT_OK
 
 
@@ -187,22 +185,13 @@ def _need(args, *names):
         raise ValueError(f"family {args.family} needs --" + ", --".join(missing))
 
 
-def _induction_trace(m: int, r: int, k: int) -> list[dict]:
-    state = induction_base(m, r)
-    trace = [_state_record(state, r)]
-    for _ in range(k - r):
-        state = coloring_induction_step(state, r)
-        trace.append(_state_record(state, r))
-    return trace
-
-
-def _state_record(state: InductionState, r: int) -> dict:
-    colors = greedy_coloring(build_column_graph(state.matrix, r))
+def _rung_record(rung: Rung) -> dict:
+    matrix, adj, colors = rung
     return {
-        "ones_per_column": state.k,
-        "rows": state.row_count,
-        "delta": state.delta,
-        "colors_used": (max(colors) + 1) if colors else 0,
+        "ones_per_column": matrix.weight // matrix.cols,
+        "rows": matrix.rows,
+        "delta": max(map(len, adj), default=0),
+        "colors_used": max(colors, default=-1) + 1,
     }
 
 
@@ -252,26 +241,21 @@ def cmd_transform(args) -> int:
     # induction-step
     if args.r is None:
         raise ValueError("induction-step needs --r")
-    counts = {bits.bit_count() for bits in matrix.columns()}
-    if len(counts) != 1:
-        raise ValueError("induction-step input needs a uniform number of ones per column")
-    k = counts.pop()
-    state = InductionState(matrix, k, matrix.rows, build_column_graph(matrix, args.r).max_degree)
-    nxt = coloring_induction_step(state, args.r)
+    before, after = islice(coloring_induction(matrix, args.r), 2)
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "schema": "1",
-                    "result": nxt.matrix.to_text(),
-                    "before": _state_record(state, args.r),
-                    "after": _state_record(nxt, args.r),
+                    "result": after[0].to_text(),
+                    "before": _rung_record(before),
+                    "after": _rung_record(after),
                 },
                 indent=2,
             )
         )
     else:
-        print(nxt.matrix.to_text())
+        print(after[0].to_text())
     return EXIT_OK
 
 

@@ -2,20 +2,22 @@
 coloring induction that grows many-column avoiders of the all-ones r x 2
 pattern.
 
-Every function here builds an explicit matrix (or graph) whose promised
-properties are cheap to re-verify with contains(); the test suite does so.
+Every function here builds plain data (a matrix, a column graph as
+adjacency sets, a coloring as a list) whose promised properties are cheap
+to re-verify with contains(); the test suite does so.  The induction yields
+each rung as its (matrix, column graph, coloring), with the graph built
+once per rung.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections.abc import Iterator
+from itertools import combinations, islice
 from math import comb
 
 from .matrix import Matrix01, SizeLimitError, _trim_bits, check_cells, flip_h, transpose
-from .search import ExtremalResult
 
-# pigeonhole_witness refuses to build more columns than this.
+# pigeonhole_witness refuses to build more rows or columns than this.
 PIGEONHOLE_COLUMN_LIMIT = 1 << 16
 
 # lower_bound_witness refuses more rows or C(m, r) columns than this, since
@@ -24,6 +26,10 @@ PIGEONHOLE_COLUMN_LIMIT = 1 << 16
 # seconds.
 INDUCTION_COLUMN_LIMIT = 1 << 10
 INDUCTION_STEP_LIMIT = 16
+
+# One rung of the coloring induction: its matrix, the column graph of that
+# matrix as adjacency sets, and the graph's greedy coloring.
+Rung = tuple[Matrix01, list[set[int]], list[int]]
 
 
 def cluster_split(matrix: Matrix01, k: int) -> Matrix01:
@@ -73,142 +79,82 @@ def pigeonhole_witness(m: int, k: int, c: int) -> Matrix01:
         raise ValueError("need 1 <= k <= m")
     if c < 2:
         raise ValueError("need c >= 2")
-    # C(m, k) >= m for k < m: a huge m is refused without computing C(m, k).
-    width = (c - 1) * (m if k < m and m > PIGEONHOLE_COLUMN_LIMIT else comb(m, k))
-    if width > PIGEONHOLE_COLUMN_LIMIT:
-        raise SizeLimitError(f"(c-1)*C(m,k) columns exceed the limit {PIGEONHOLE_COLUMN_LIMIT}")
+    # m is tested first, so C(m, k) is computed for small m only.
+    if m > PIGEONHOLE_COLUMN_LIMIT or (width := (c - 1) * comb(m, k)) > PIGEONHOLE_COLUMN_LIMIT:
+        raise SizeLimitError(f"m and (c-1)*C(m,k) must not exceed the limit {PIGEONHOLE_COLUMN_LIMIT}")
     check_cells(m, width)
     supports = [sum(1 << r for r in sel) for sel in combinations(range(m), k)]
     cols = tuple(bits for bits in supports for _ in range(c - 1))
     return transpose(Matrix01(len(cols), m, cols))
 
 
-@dataclass(frozen=True)
-class ColumnGraph:
-    """Graph on the columns of a matrix; edges join columns whose supports
-    share exactly r-1 rows."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def max_degree(self) -> int:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return max(deg, default=0)
-
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-
-def build_column_graph(matrix: Matrix01, r: int) -> ColumnGraph:
-    """Edge between columns b < c iff their supports share exactly r-1 rows.
+def build_column_graph(matrix: Matrix01, r: int) -> list[set[int]]:
+    """Adjacency sets of the column graph: columns b and c are adjacent iff
+    their supports share exactly r-1 rows.
 
     r-1 is the largest overlap two columns may have without the pair forming
-    the all-ones r x 2 pattern.
+    the all-ones r x 2 pattern; a larger overlap raises ValueError.
     """
     if r < 2:
         raise ValueError("need r >= 2")
     supports = matrix.columns()
-    edges = set()
+    adj = [set() for _ in supports]
     for b, c in combinations(range(matrix.cols), 2):
-        if (supports[b] & supports[c]).bit_count() == r - 1:
-            edges.add((b, c))
-    return ColumnGraph(matrix.cols, frozenset(edges))
+        shared = (supports[b] & supports[c]).bit_count()
+        if shared >= r:
+            raise ValueError("matrix already contains the all-ones r x 2 pattern")
+        if shared == r - 1:
+            adj[b].add(c)
+            adj[c].add(b)
+    return adj
 
 
-def greedy_coloring(graph: ColumnGraph) -> list[int]:
+def greedy_coloring(adj: list[set[int]]) -> list[int]:
     """Color vertices in index order with the smallest free color.
 
-    Proper by construction and never uses more than max_degree + 1 colors.
+    Proper by construction and never uses more than max degree + 1 colors.
     """
-    adj = graph.adjacency()
-    colors = [-1] * graph.n
-    for v in range(graph.n):
-        taken = {colors[u] for u in adj[v] if colors[u] >= 0}
+    colors = []
+    for v, neighbors in enumerate(adj):
+        taken = {colors[u] for u in neighbors if u < v}
         color = 0
         while color in taken:
             color += 1
-        colors[v] = color
+        colors.append(color)
     return colors
 
 
-@dataclass(frozen=True)
-class InductionState:
-    """One rung of the coloring induction.
+def coloring_induction(matrix: Matrix01, r: int) -> Iterator[Rung]:
+    """Yield (matrix, adj, colors) for each rung of the coloring induction,
+    starting with the given matrix; adj is its column graph and colors its
+    greedy coloring.
 
-    matrix has exactly k ones in every column and avoids the all-ones r x 2
-    pattern; delta is the maximum degree of its column graph.
-    """
-
-    matrix: Matrix01
-    k: int
-    row_count: int
-    delta: int
-
-
-def _avoids_all_ones_r2(matrix: Matrix01, r: int) -> bool:
-    # The all-ones r x 2 pattern embeds iff two columns share >= r rows.
-    supports = matrix.columns()
-    return all(
-        (a & b).bit_count() < r for a, b in combinations(supports, 2)
-    )
-
-
-def coloring_induction_step(state: InductionState, r: int) -> InductionState:
-    """Add one more one per column without creating the all-ones r x 2 pattern.
-
-    Greedy-colors the column graph with at most delta+1 colors, appends
-    delta+1 fresh rows, and gives column b a one in appended row number
+    Each next rung adds one more one per column without creating the
+    all-ones r x 2 pattern: it appends delta+1 fresh rows, delta the maximum
+    degree of adj, and gives column b a one in appended row number
     color(b).  Same-colored columns are non-adjacent, so they shared at most
     r-2 old rows and the new shared row keeps every pair below r common
-    rows.
+    rows.  The matrix needs the same number of ones in every column.
     """
-    if r < 2:
-        raise ValueError("need r >= 2")
-    mat = state.matrix
-    if mat.rows != state.row_count:
-        raise ValueError("state row_count does not match its matrix")
-    if any(bits.bit_count() != state.k for bits in mat.columns()):
-        raise ValueError("every column must have exactly k ones")
-    if not _avoids_all_ones_r2(mat, r):
-        raise ValueError("matrix already contains the all-ones r x 2 pattern")
-    graph = build_column_graph(mat, r)
-    if graph.max_degree != state.delta:
-        raise ValueError("state delta does not match its matrix")
-    colors = greedy_coloring(graph)
-    added = state.delta + 1
-    new_rows = list(mat.row_bits) + [0] * added
-    for b, color in enumerate(colors):
-        new_rows[state.row_count + color] |= 1 << b
-    new_mat = Matrix01(state.row_count + added, mat.cols, tuple(new_rows))
-    new_delta = build_column_graph(new_mat, r).max_degree
-    return InductionState(new_mat, state.k + 1, new_mat.rows, new_delta)
+    if len({bits.bit_count() for bits in matrix.columns()}) > 1:
+        raise ValueError("induction-step input needs a uniform number of ones per column")
+    while True:
+        adj = build_column_graph(matrix, r)
+        colors = greedy_coloring(adj)
+        yield matrix, adj, colors
+        added = max(map(len, adj), default=0) + 1
+        rows = list(matrix.row_bits) + [0] * added
+        for b, color in enumerate(colors):
+            rows[matrix.rows + color] |= 1 << b
+        matrix = Matrix01(matrix.rows + added, matrix.cols, tuple(rows))
 
 
-def induction_base(m: int, r: int) -> InductionState:
-    """All C(m, r) distinct r-subset columns, each once: the k = r rung."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if m < r:
-        raise ValueError("need m >= r")
-    base = pigeonhole_witness(m, r, 2)
-    delta = build_column_graph(base, r).max_degree
-    return InductionState(base, r, m, delta)
+def lower_bound_witness(m: int, r: int, k: int) -> list[Rung]:
+    """The rungs of the coloring induction from all C(m, r) distinct r-subset
+    columns (k = r) up to k ones per column, as coloring_induction yields them.
 
-
-def lower_bound_witness(m: int, r: int, k: int) -> ExtremalResult:
-    """Witness with C(m, r) columns and k ones per column avoiding the
-    all-ones r x 2 pattern, grown by k - r coloring induction steps.
-
-    The value reported is the witness's column count, a lower bound for the
-    column extremal function, so exact is False.
+    The last rung's matrix avoids the all-ones r x 2 pattern with C(m, r)
+    columns, a lower bound for the column extremal function.
     """
     if not k >= r >= 2:
         raise ValueError("need k >= r >= 2")
@@ -218,14 +164,14 @@ def lower_bound_witness(m: int, r: int, k: int) -> ExtremalResult:
         raise SizeLimitError(f"m and C(m,r) must not exceed the limit {INDUCTION_COLUMN_LIMIT}")
     if k - r > INDUCTION_STEP_LIMIT:
         raise SizeLimitError(f"k-r induction steps exceed the limit {INDUCTION_STEP_LIMIT}")
-    state = induction_base(m, r)
-    for _ in range(k - r):
-        state = coloring_induction_step(state, r)
-    return ExtremalResult(state.matrix.cols, state.matrix, 0, False)
+    if m < r:
+        raise ValueError("need m >= r")
+    return list(islice(coloring_induction(pigeonhole_witness(m, r, 2), r), k - r + 1))
 
 
-def degree_growth_bound(before: InductionState, after: InductionState, r: int) -> bool:
-    """Measured degree growth across one step against the counting bound.
+def degree_growth_bound(before: Matrix01, delta: int, next_delta: int, r: int) -> bool:
+    """Measured degree growth across one step, from the column graph degree
+    delta of the matrix before it to next_delta, against the counting bound.
 
     A fresh neighbor of column b shares r-2 old rows with b (plus the new
     color row), and distinct fresh neighbors through the same r-2 rows are
@@ -233,7 +179,6 @@ def degree_growth_bound(before: InductionState, after: InductionState, r: int) -
     (rows - k) / (k - r + 2) of them exist per choice of the r-2 rows,
     with k the ones-per-column count before the step.
     """
-    k = before.k
+    k = before.weight // before.cols
     choices = comb(k, r - 2)
-    gap = after.delta - before.delta
-    return gap * (k - r + 2) <= choices * (before.row_count - k)
+    return (next_delta - delta) * (k - r + 2) <= choices * (before.rows - k)

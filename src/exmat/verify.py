@@ -18,12 +18,8 @@ from dataclasses import dataclass
 from math import comb, factorial, isfinite
 
 from .constructions import (
-    build_column_graph,
     cluster_split,
-    coloring_induction_step,
     degree_growth_bound,
-    greedy_coloring,
-    induction_base,
     lower_bound_witness,
     pigeonhole_witness,
 )
@@ -461,19 +457,16 @@ def claim_induction() -> list[ClaimResult]:
         base_failures = []
         p_r2 = pattern_P(r, 2)
         for m in range(r, m_max + 1):
-            base = induction_base(m, r)
-            if base.delta > r * (m - r):
-                base_failures.append((m, base.delta))
-            graph = build_column_graph(base.matrix, r)
-            colors = greedy_coloring(graph)
-            adj = graph.adjacency()
-            if any(colors[a] == colors[b] for a in range(graph.n) for b in adj[a]):
+            rungs = lower_bound_witness(m, r, k_max)
+            deltas = [max(map(len, adj), default=0) for _, adj, _ in rungs]
+            _, adj, colors = rungs[0]
+            if deltas[0] > r * (m - r):
+                base_failures.append((m, deltas[0]))
+            if any(colors[a] == colors[b] for a, nbrs in enumerate(adj) for b in nbrs):
                 base_failures.append((m, "improper"))
-            if colors and max(colors) + 1 > graph.max_degree + 1:
+            if colors and max(colors) + 1 > deltas[0] + 1:
                 base_failures.append((m, "too many colors"))
-            for k in range(r, k_max + 1):
-                res = lower_bound_witness(m, r, k)
-                wit = res.witness
+            for k, (wit, _, _) in enumerate(rungs, start=r):
                 ok = (
                     wit.cols == comb(m, r)
                     and all(bits.bit_count() == k for bits in wit.columns())
@@ -481,12 +474,9 @@ def claim_induction() -> list[ClaimResult]:
                 )
                 if not ok:
                     witness_failures.append((m, k))
-                state = induction_base(m, r)
-                for _ in range(k - r):
-                    nxt = coloring_induction_step(state, r)
-                    if not degree_growth_bound(state, nxt, r):
-                        witness_failures.append((m, k, "degree growth"))
-                    state = nxt
+            for k, ((before, _, _), delta, next_delta) in enumerate(zip(rungs, deltas, deltas[1:]), start=r):
+                if not degree_growth_bound(before, delta, next_delta, r):
+                    witness_failures.append((m, k, "degree growth"))
         return [_verdict(witness_failures), _verdict(base_failures)]
 
     return _claims(

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,38 @@ def diamond_file(tmp_path):
     return str(path)
 
 
+# Outputs of the coloring induction recorded before it was rebuilt on plain
+# matrices.  A rung is (ones_per_column, rows, delta, colors_used).
+RUNG_KEYS = ("ones_per_column", "rows", "delta", "colors_used")
+
+# `generate lowerP --format json`: (m, r, k) -> (witness, rungs).
+LOWER_P_JSON = {
+    (4, 2, 3): (
+        "111000\n100110\n010101\n001011\n100001\n010010\n001100\n000000\n000000",
+        [(2, 4, 4, 3), (3, 9, 5, 6)],
+    ),
+    (5, 2, 4): (
+        "1111000000\n1000111000\n0100100110\n0010010101\n0001001011\n1000000100\n"
+        "0100010000\n0010100000\n0001000000\n0000001000\n0000000010\n0000000001\n"
+        "1000000010\n0100001000\n0010000000\n0001100000\n0000010000\n0000000100\n"
+        "0000000001\n0000000000",
+        [(2, 5, 6, 7), (3, 12, 7, 7), (4, 20, 8, 7)],
+    ),
+}
+
+# `transform induction-step --format json`: (input, r) -> (result, before, after).
+INDUCTION_STEP_JSON = {
+    ("110\n101\n011\n", 2): ("110\n101\n011\n100\n010\n001", (2, 3, 2, 3), (3, 6, 2, 3)),
+    ("110\n101\n011\n", 3): ("110\n101\n011\n111", (2, 3, 0, 1), (3, 4, 2, 3)),
+    ("1100\n1010\n0101\n0011\n0000\n", 2): (
+        "1100\n1010\n0101\n0011\n0000\n1001\n0110\n0000", (2, 5, 2, 2), (3, 8, 3, 4),
+    ),
+    ("1100\n1010\n0101\n0011\n0000\n", 3): (
+        "1100\n1010\n0101\n0011\n0000\n1111", (2, 5, 0, 1), (3, 6, 2, 2),
+    ),
+}
+
+
 class TestGenerate:
     def test_diamond(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "T", "--r", "1", "--s", "0")
@@ -74,16 +107,20 @@ class TestGenerate:
         assert len(parse_pattern_set(out)) == 8
 
     def test_lower_bound_trace(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "generate", "lowerP", "--m", "4", "--r", "2", "--k", "3",
-            "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["schema"] == "1"
-        assert doc["columns"] == 6
-        assert len(doc["trace"]) == 2
-        assert all("delta" in t and "colors_used" in t for t in doc["trace"])
+        for (m, r, k), (witness, trace) in LOWER_P_JSON.items():
+            code, out, _ = run_cli(
+                capsys, "generate", "lowerP", "--m", str(m), "--r", str(r), "--k", str(k),
+                "--format", "json",
+            )
+            assert code == 0
+            doc = {
+                "schema": "1",
+                "witness": witness,
+                "columns": comb(m, r),
+                "rows": trace[-1][1],
+                "trace": [dict(zip(RUNG_KEYS, rung)) for rung in trace],
+            }
+            assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_missing_param_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "generate", "P", "--r", "2")
@@ -499,16 +536,22 @@ class TestTransform:
 
     def test_induction_step(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
-        mat.write_text("110\n101\n011\n")
-        code, out, _ = run_cli(
-            capsys, "transform", "induction-step", str(mat), "--r", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        stepped = parse_matrix(doc["result"])
-        assert all(bits.bit_count() == 3 for bits in stepped.columns())
-        assert doc["after"]["ones_per_column"] == 3
+        for (text, r), (result, before, after) in INDUCTION_STEP_JSON.items():
+            mat.write_text(text)
+            code, out, _ = run_cli(
+                capsys, "transform", "induction-step", str(mat), "--r", str(r),
+                "--format", "json",
+            )
+            assert code == 0
+            doc = {
+                "schema": "1",
+                "result": result,
+                "before": dict(zip(RUNG_KEYS, before)),
+                "after": dict(zip(RUNG_KEYS, after)),
+            }
+            assert out == json.dumps(doc, indent=2) + "\n"
+            code, out, _ = run_cli(capsys, "transform", "induction-step", str(mat), "--r", str(r))
+            assert code == 0 and out == result + "\n"
 
     def test_induction_step_rejects_uneven_columns(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
@@ -517,6 +560,16 @@ class TestTransform:
             capsys, "transform", "induction-step", str(mat), "--r", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text,r", [("11\n11\n", 2), ("110\n101\n011\n", 1)])
+    def test_induction_step_rejects_contained_block_and_small_r(self, capsys, tmp_path, text, r):
+        mat = tmp_path / "m.txt"
+        mat.write_text(text)
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(
+                capsys, "transform", "induction-step", str(mat), "--r", str(r), "--format", fmt
+            )
+            assert code == 2 and out == ""
 
 
 def run_python(*args, **kwargs):
@@ -543,6 +596,7 @@ def test_module_entry_point_runs():
     [
         ["compute", "columns", "--m", "100000", "--k", "2"],
         ["generate", "pigeonhole", "--m", "1000000", "--k", "500000", "--c", "2"],
+        ["generate", "pigeonhole", "--m", "1000000", "--k", "1000000", "--c", "2"],
         ["generate", "Kprime", "--m", "100000", "--k", "1"],
         ["generate", "P", "--r", "30000", "--c", "30000"],
         ["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"],

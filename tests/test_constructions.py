@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 from math import comb
 
 import pytest
@@ -6,25 +7,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exmat import (
-    ColumnGraph,
-    InductionState,
     Matrix01,
     PatternSet,
     SizeLimitError,
     avoids_all,
     build_column_graph,
     cluster_split,
-    coloring_induction_step,
+    coloring_induction,
     construct_K_prime,
     contains,
     degree_growth_bound,
     greedy_coloring,
-    induction_base,
     lower_bound_witness,
     pattern_P,
     pigeonhole_witness,
 )
-from exmat.constructions import INDUCTION_COLUMN_LIMIT, INDUCTION_STEP_LIMIT
+from exmat.constructions import (
+    INDUCTION_COLUMN_LIMIT,
+    INDUCTION_STEP_LIMIT,
+    PIGEONHOLE_COLUMN_LIMIT,
+)
 from exmat.patterns import TrsParams, generate_T
 from exmat.verify import random_avoider
 
@@ -32,6 +34,10 @@ from conftest import matrices
 
 DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
 IDENT2 = Matrix01(2, 2, (0b01, 0b10))
+
+
+def max_degree(adj):
+    return max(map(len, adj), default=0)
 
 
 class TestClusterSplit:
@@ -130,16 +136,23 @@ class TestPigeonholeWitness:
         with pytest.raises(SizeLimitError):
             pigeonhole_witness(40, 20, 2)
 
+    def test_row_count_is_refused_up_front(self):
+        # C(m, m) = 1 column, but m rows.
+        assert pigeonhole_witness(PIGEONHOLE_COLUMN_LIMIT, PIGEONHOLE_COLUMN_LIMIT, 2).cols == 1
+        for m in (PIGEONHOLE_COLUMN_LIMIT + 1, 10**6):
+            with pytest.raises(SizeLimitError):
+                pigeonhole_witness(m, m, 2)
+
 
 class TestColumnGraph:
     def test_identity_matrix_is_edgeless(self):
         ident = Matrix01.from_ones(4, 4, [(i, i) for i in range(4)])
-        assert build_column_graph(ident, 2).edges == frozenset()
+        assert build_column_graph(ident, 2) == [set(), set(), set(), set()]
 
     def test_pair_witness_forms_triangle(self):
-        g = build_column_graph(pigeonhole_witness(3, 2, 2), 2)
-        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
-        assert g.max_degree == 2
+        adj = build_column_graph(pigeonhole_witness(3, 2, 2), 2)
+        assert adj == [{1, 2}, {0, 2}, {0, 1}]
+        assert max_degree(adj) == 2
 
     @pytest.mark.parametrize("m,r", [(4, 2), (5, 2), (5, 3), (6, 3)])
     def test_degree_bound_on_exact_r_column_avoiders(self, m, r):
@@ -158,73 +171,77 @@ class TestColumnGraph:
                         rows[rr] |= 1 << j
             mat = Matrix01(m, len(chosen), tuple(rows))
             assert not contains(mat, pattern_P(r, 2))
-            assert build_column_graph(mat, r).max_degree <= r * (m - r)
+            assert max_degree(build_column_graph(mat, r)) <= r * (m - r)
 
     def test_needs_r_at_least_two(self):
         with pytest.raises(ValueError):
             build_column_graph(Matrix01.filled(2, 2), 1)
 
+    def test_rejects_contained_block(self):
+        with pytest.raises(ValueError):
+            build_column_graph(Matrix01.filled(2, 2), 2)
+
 
 class TestGreedyColoring:
     @given(st.integers(1, 9), st.data())
     def test_proper_and_within_degree_plus_one(self, n, data):
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        edges = frozenset(
-            p for p in pairs if data.draw(st.booleans(), label=f"edge{p}")
-        )
-        g = ColumnGraph(n, edges)
-        colors = greedy_coloring(g)
-        adj = g.adjacency()
+        adj = [set() for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if data.draw(st.booleans(), label=f"edge{(a, b)}"):
+                    adj[a].add(b)
+                    adj[b].add(a)
+        colors = greedy_coloring(adj)
         for v in range(n):
             for u in adj[v]:
                 assert colors[v] != colors[u]
         if colors:
-            assert max(colors) + 1 <= g.max_degree + 1
+            assert max(colors) + 1 <= max_degree(adj) + 1
 
 
 class TestInduction:
     def test_base_is_all_r_subsets(self):
-        st0 = induction_base(3, 2)
-        assert st0.matrix == pigeonhole_witness(3, 2, 2)
-        assert st0.k == 2 and st0.row_count == 3 and st0.delta == 2
+        [(base, adj, _)] = lower_bound_witness(3, 2, 2)
+        assert base == pigeonhole_witness(3, 2, 2)
+        assert all(bits.bit_count() == 2 for bits in base.columns())
+        assert base.rows == 3 and max_degree(adj) == 2
 
     def test_single_step_shape(self):
-        st0 = induction_base(3, 2)
-        st1 = coloring_induction_step(st0, 2)
-        assert st1.k == 3
-        assert st1.matrix.cols == st0.matrix.cols
-        assert st1.row_count <= st0.row_count + st0.delta + 1
-        assert all(bits.bit_count() == 3 for bits in st1.matrix.columns())
-        assert not contains(st1.matrix, pattern_P(2, 2))
+        base = pigeonhole_witness(3, 2, 2)
+        (mat0, adj0, _), (mat1, _, _) = islice(coloring_induction(base, 2), 2)
+        assert mat0 == base
+        assert mat1.cols == mat0.cols
+        assert mat1.rows <= mat0.rows + max_degree(adj0) + 1
+        assert all(bits.bit_count() == 3 for bits in mat1.columns())
+        assert not contains(mat1, pattern_P(2, 2))
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_degree_growth_bound_across_steps(self, m):
-        state = induction_base(m, 2)
-        for _ in range(2):
-            nxt = coloring_induction_step(state, 2)
-            assert degree_growth_bound(state, nxt, 2)
-            state = nxt
+        rungs = lower_bound_witness(m, 2, 4)
+        for (before, adj, _), (_, next_adj, _) in zip(rungs, rungs[1:]):
+            assert degree_growth_bound(before, max_degree(adj), max_degree(next_adj), 2)
 
     def test_rejects_uneven_columns(self):
         bad = Matrix01.from_ones(3, 2, [(0, 0), (1, 0), (2, 1)])
         with pytest.raises(ValueError):
-            coloring_induction_step(InductionState(bad, 2, 3, 0), 2)
+            next(coloring_induction(bad, 2))
 
     def test_rejects_contained_block(self):
         bad = Matrix01.filled(2, 2)
         with pytest.raises(ValueError):
-            coloring_induction_step(InductionState(bad, 2, 2, 1), 2)
+            next(coloring_induction(bad, 2))
 
     def test_zero_step_witness_is_base(self):
-        res = lower_bound_witness(3, 2, 2)
-        assert res.witness == pigeonhole_witness(3, 2, 2)
-        assert res.value == 3
-        assert not res.exact
+        rungs = lower_bound_witness(3, 2, 2)
+        assert len(rungs) == 1
+        wit = rungs[-1][0]
+        assert wit == pigeonhole_witness(3, 2, 2)
+        assert wit.cols == 3
 
     def test_grown_witness(self):
-        res = lower_bound_witness(4, 2, 3)
-        wit = res.witness
-        base_delta = induction_base(4, 2).delta
+        rungs = lower_bound_witness(4, 2, 3)
+        wit = rungs[-1][0]
+        base_delta = max_degree(rungs[0][1])
         assert wit.cols == comb(4, 2)
         assert wit.rows <= 4 + base_delta + 1
         assert all(bits.bit_count() == 3 for bits in wit.columns())
@@ -233,8 +250,7 @@ class TestInduction:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_witness_grid(self, m, k):
-        res = lower_bound_witness(m, 2, k)
-        wit = res.witness
+        wit = lower_bound_witness(m, 2, k)[-1][0]
         assert wit.cols == comb(m, 2)
         assert all(bits.bit_count() == k for bits in wit.columns())
         assert avoids_all(wit, PatternSet.of(pattern_P(2, 2)))
@@ -252,4 +268,4 @@ class TestInduction:
             lower_bound_witness(tall, tall, tall)
         with pytest.raises(SizeLimitError):
             lower_bound_witness(4, 2, 3 + INDUCTION_STEP_LIMIT)
-        assert lower_bound_witness(4, 2, 2 + INDUCTION_STEP_LIMIT).witness.cols == 6
+        assert lower_bound_witness(4, 2, 2 + INDUCTION_STEP_LIMIT)[-1][0].cols == 6

@@ -91,6 +91,14 @@ class TestExWeight:
         assert fast.witness.weight == fast.value
         assert avoids_all(fast.witness, pats)
 
+    # OEIS A072567: the Zarankiewicz numbers z(n; 2), the most ones in an
+    # n x n matrix that avoids the all-ones 2 x 2 block.
+    @pytest.mark.parametrize("n,z", [(4, 9), (5, 12)])
+    def test_zarankiewicz_numbers(self, n, z):
+        res = ex_weight(n, n, P22)
+        assert res.exact and res.value == z
+        assert res.witness.weight == z and avoids_all(res.witness, P22)
+
     def test_full_matrix_when_pattern_does_not_fit(self):
         for n in (2, 3):
             res = ex_weight(n, n, PatternSet.of(pattern_P(n + 1, 1)))
