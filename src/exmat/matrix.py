@@ -195,7 +195,10 @@ class ColumnRange:
 #
 # The searches' incremental checks pin the walk: a new cell gets a pattern
 # one pinned on it, row and column, for each one whose counts fit around the
-# cell (see _contains_using_cell); a new column gets the last pattern column.
+# cell; a new column gets the last pattern column.  The cell check counts
+# the host around the cell once and the pattern with running counts over
+# one bottom-up, right-to-left pass: a row's walk ends once the ones to the
+# right outnumber the host's, and the pass once the rows below do.
 # ---------------------------------------------------------------------------
 
 
@@ -256,18 +259,6 @@ def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
     return True
 
 
-def _room(masks, i, j):
-    """Nonzero masks before and after masks[i], and set bits of masks[i]
-    below and above bit j."""
-    bits = masks[i]
-    return (
-        i - masks[:i].count(0),
-        len(masks) - 1 - i - masks[i + 1:].count(0),
-        (bits & ((1 << j) - 1)).bit_count(),
-        (bits >> j + 1).bit_count(),
-    )
-
-
 def _contains_using_cell(hrows, hm, n, pattern, r, c):
     """True iff an embedding exists that maps some pattern one onto host cell (r, c).
 
@@ -278,16 +269,37 @@ def _contains_using_cell(hrows, hm, n, pattern, r, c):
     nonzero rows above and below r as the pattern above and below a.  An
     embedding maps each of those ones and nonzero rows to a distinct one or
     nonzero row on the same side, so a pin that fails a count has none.
-    When every cell after (r, c) in row-major order is zero, as in
-    ex_weight, only the last one of the pattern's last nonzero row is pinned.
+    The pattern's counts are kept running: its nonzero rows are walked
+    bottom-up and each row's ones right to left, so the below and right
+    counts only grow and the walk stops once they pass the host's.  When
+    every cell after (r, c) in row-major order is zero, as in ex_weight,
+    the walk reaches only the last one of the pattern's last nonzero row.
     """
-    h_above, h_below, h_left, h_right = _room(hrows, r, c)
-    for a, b in pattern.ones():
-        p_above, p_below, p_left, p_right = _room(pattern.row_bits, a, b)
-        if p_above > h_above or p_below > h_below or p_left > h_left or p_right > h_right:
+    bits = hrows[r]
+    h_above = r - hrows[:r].count(0)
+    h_below = len(hrows) - 1 - r - hrows[r + 1:].count(0)
+    h_left = (bits & ((1 << c) - 1)).bit_count()
+    h_right = (bits >> c + 1).bit_count()
+    prows = pattern.row_bits
+    above = len(prows) - prows.count(0)
+    below = 0
+    for a in range(len(prows) - 1, -1, -1):
+        row = prows[a]
+        if not row:
             continue
-        if _embeds(hrows, hm, n, pattern, (a, r), (b, c)):
-            return True
+        if below > h_below:
+            return False
+        above -= 1
+        if above <= h_above:
+            left, right = row.bit_count() - 1, 0
+            while row and right <= h_right:
+                b = row.bit_length() - 1
+                if left <= h_left and _embeds(hrows, hm, n, pattern, (a, r), (b, c)):
+                    return True
+                row ^= 1 << b
+                left -= 1
+                right += 1
+        below += 1
     return False
 
 

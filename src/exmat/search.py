@@ -9,7 +9,10 @@ create an embedding through that cell (that column), so only pinned
 embeddings are re-tested.  ex_columns handles a column as the sorted tuple
 of its rows; the support slots it fills are the subsets of that tuple.
 Capping each slot at cols-1 columns is exactly the containment test of an
-all-ones certificate pattern, so that pattern gets no pinned check.
+all-ones certificate pattern, so that pattern gets no pinned check.  The
+slots each candidate fills are worked out once per query, as one bitmask
+over slot indices, so the search tests a candidate with one AND against
+the mask of slots already at their cap.
 
 Boundary semantics for ex_columns:
   * k > m: the value is 0 (no column can hold k ones).
@@ -25,9 +28,10 @@ Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
 bound.  Both searches run on one explicit-stack driver, so their depth is
 limited by memory, not by Python's recursion limit.  A column query whose
-candidate list would exceed COLUMN_CANDIDATE_LIMIT, and a weight query
-beyond MATRIX_CELL_LIMIT cells, is refused with SizeLimitError before
-anything is allocated.
+candidate list would exceed COLUMN_CANDIDATE_LIMIT or whose candidates x
+slots cover table would exceed MATRIX_CELL_LIMIT cells, and a weight query
+beyond MATRIX_CELL_LIMIT cells, is refused with SizeLimitError before the
+table or the matrix is built.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .matrix import (
     SizeLimitError,
     _contains_using_cell,
     _contains_using_last_col,
+    _transpose,
     avoids_all,
     check_cells,
     contains_oracle,
@@ -260,7 +265,24 @@ def ex_columns(
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(candidates)
 
-    occ = dict.fromkeys(combinations(range(m), cert_rows), 0)
+    # Slot i is the i-th cert_rows-subset of rows.  A candidate's cover has
+    # bit i set when the candidate holds every row of slot i, that is when
+    # slot i holds none of the rows the candidate lacks; holds[r] marks the
+    # slots that hold row r.  `full` marks the slots that already support
+    # cert_cols-1 chosen columns.
+    slots = list(combinations(range(m), cert_rows))
+    check_cells(len(candidates), len(slots))
+    holds = _transpose([sum(1 << r for r in t) for t in slots], m)
+    every = (1 << len(slots)) - 1
+    table = []
+    for sel in candidates:
+        lacked = 0
+        for r in range(m):
+            if r not in sel:
+                lacked |= holds[r]
+        table.append((sel, every & ~lacked, comb(len(sel), cert_rows)))
+    occ = [0] * len(slots)
+    full = 0
     slack = cap
 
     # The slot check is the containment test of an all-ones certificate, so
@@ -273,28 +295,37 @@ def ex_columns(
     best: list[tuple[int, ...]] = []
 
     def node():
-        nonlocal best, slack
+        nonlocal best, full, slack
         depth = len(chosen)
         if depth > len(best):
             best = chosen.copy()
         if depth + slack <= len(best):
             return
         bit = 1 << depth
-        for sel in candidates:
-            covered = list(combinations(sel, cert_rows))
-            if any(occ[t] >= cert_cols - 1 for t in covered):
+        for sel, cover, size in table:
+            if cover & full:
                 continue
             for r in sel:
                 host_rows[r] |= bit
             chosen.append(sel)
             if not any(_contains_using_last_col(host_rows, m, depth + 1, p) for p in pats):
-                for t in covered:
-                    occ[t] += 1
-                slack -= len(covered)
+                saved = full
+                rest = cover
+                while rest:
+                    i = rest.bit_length() - 1
+                    rest ^= 1 << i
+                    occ[i] += 1
+                    if occ[i] == cert_cols - 1:
+                        full |= 1 << i
+                slack -= size
                 yield node()
-                for t in covered:
-                    occ[t] -= 1
-                slack += len(covered)
+                rest = cover
+                while rest:
+                    i = rest.bit_length() - 1
+                    rest ^= 1 << i
+                    occ[i] -= 1
+                full = saved
+                slack += size
             chosen.pop()
             for r in sel:
                 host_rows[r] ^= bit

@@ -602,13 +602,21 @@ def test_module_entry_point_runs():
         ["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"],
         ["generate", "lowerP", "--m", "300", "--r", "2", "--k", "3"],
         ["generate", "lowerP", "--m", "5", "--r", "2", "--k", "100000"],
+        # 39,203 candidates x 12,870 support slots in the cover table
+        ["compute", "columns", "--m", "16", "--k", "8", "--pattern", "11\n" * 8],
     ],
 )
-def test_huge_integer_arguments_are_refused_at_once(argv, p22_file):
+def test_huge_integer_arguments_are_refused_at_once(argv, tmp_path):
     # The child runs with a 400 MiB address space and a 5 s timeout, so an
-    # oversized build fails the test instead of exhausting the machine.
+    # oversized build fails the test instead of exhausting the machine.  A
+    # compute command gives its pattern's text after --pattern, P22 if none.
     if argv[0] == "compute":
-        argv = argv + ["--pattern", p22_file]
+        if "--pattern" not in argv:
+            argv = argv + ["--pattern", "11\n11\n"]
+        at = argv.index("--pattern") + 1
+        path = tmp_path / "pattern.txt"
+        path.write_text(argv[at])
+        argv = argv[:at] + [str(path)] + argv[at + 1:]
     proc = run_python("-m", "exmat", *argv, timeout=5, preexec_fn=_cap_address_space)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert "limit" in proc.stderr and proc.stdout == ""

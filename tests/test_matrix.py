@@ -182,6 +182,41 @@ class TestPinnedChecks:
         assert _contains_using_cell(tall.row_bits, 1200, 1, tall, 1199, 0)
         assert pins == [((1199, 1199), (0, 0))]
 
+    def test_cell_check_pins_exactly_the_ones_whose_counts_fit(self, monkeypatch):
+        # _embeds answers False, so the walk tries every pin it admits
+        pins = []
+
+        def embeds(hrows, hm, n, pattern, pin_row, pin_col):
+            pins.append((pin_row[0], pin_col[0]))
+            return False
+
+        def room(rows, i, j):
+            """Nonzero rows above and below row i, ones left and right of column j."""
+            nonzero = [x for x, bits in enumerate(rows) if bits]
+            ones = [y for y in range(rows[i].bit_length()) if rows[i] >> y & 1]
+            return (
+                sum(x < i for x in nonzero), sum(x > i for x in nonzero),
+                sum(y < j for y in ones), sum(y > j for y in ones),
+            )
+
+        monkeypatch.setattr(matrix_module, "_embeds", embeds)
+        rng = random.Random(10)
+        for _ in range(1500):
+            hm, n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
+            density = rng.choice((0.2, 0.5, 0.8))
+            rows = [sum(1 << y for y in range(n) if rng.random() < density) for _ in range(hm)]
+            pat = Matrix01(p, q, tuple(rng.randrange(1 << q) for _ in range(p)))
+            for r in range(hm):
+                for c in range(n):
+                    pins.clear()
+                    assert not _contains_using_cell(rows, hm, n, pat, r, c)
+                    host = room(rows, r, c)
+                    expected = [
+                        (a, b) for a, b in pat.ones()
+                        if all(x <= y for x, y in zip(room(pat.row_bits, a, b), host))
+                    ]
+                    assert sorted(pins) == expected
+
     def test_cell_check_on_row_major_frontier_hosts(self):
         # ex_weight's hosts: every cell after (r, c) in row-major order is
         # zero.  A pattern tested as its own host at its last one has every

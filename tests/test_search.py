@@ -308,6 +308,17 @@ PINNED = [
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), pattern_P(2, 3)), {}),
      (20, 201, True, "11111111000000000000\n11000000111111000000\n00110000110000111100\n"
       "00001100001100110011\n00000011000011001111")),
+    # recorded before the slot cover table: a slot limit of 2, so a slot
+    # fills only on its second column, in candidate order, shuffled, and
+    # beside a pattern that is still checked
+    ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {}),
+     (20, 143, True, "11111111111100000000\n11111100000011111100\n11000011110011110011\n"
+      "00110011001111001111\n00001100111100111111")),
+    ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {"shuffle_seed": 5}),
+     (20, 356, True, "11001111111100110000\n11110011001100001111\n00111100111111000011\n"
+      "11000000110011111111\n00111111000011111100")),
+    ("columns", (4, 2, PatternSet.of(pattern_P(2, 3), *B101_011), {}),
+     (9, 6921, True, "000001111\n001111100\n111100010\n110010001")),
 ]
 
 
