@@ -193,12 +193,12 @@ class ColumnRange:
 # Both stacks are plain lists, so pattern depth is bounded by memory, not by
 # Python's recursion limit.
 #
-# The searches' incremental checks pin the walk: a new cell gets a pattern
-# one pinned on it, row and column, for each one whose counts fit around the
-# cell; a new column gets the last pattern column.  The cell check counts
-# the host around the cell once and the pattern with running counts over
-# one bottom-up, right-to-left pass: a row's walk ends once the ones to the
-# right outnumber the host's, and the pass once the rows below do.
+# ex_weight's cell check pins the walk: a new cell gets a pattern one pinned
+# on it, row and column, for each one whose counts fit around the cell.  It
+# counts the host around the cell once and the pattern with running counts
+# over one bottom-up, right-to-left pass: a row's walk ends once the ones to
+# the right outnumber the host's, and the pass once the rows below do.
+# ex_columns runs the same greedy column match as an automaton instead.
 # ---------------------------------------------------------------------------
 
 
@@ -301,15 +301,6 @@ def _contains_using_cell(hrows, hm, n, pattern, r, c):
                 right += 1
         below += 1
     return False
-
-
-def _contains_using_last_col(hrows, hm, n, pattern):
-    """True iff an embedding exists whose last pattern column maps to host column n-1.
-
-    When columns are appended on the right of an avoiding host, this is the
-    only way new containment can arise.
-    """
-    return _embeds(hrows, hm, n, pattern, pin_col=(pattern.cols - 1, n - 1))
 
 
 def contains(host: Matrix01, pattern: Matrix01) -> bool:

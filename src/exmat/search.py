@@ -3,16 +3,15 @@
 ex_weight(m, n, S) is the maximum number of ones in an m x n 0-1 matrix
 avoiding every pattern in S; ex_columns(m, k, S) is the maximum number of
 columns of an m-row matrix with at least k ones per column avoiding S.  Both
-searches are branch and bound with incremental containment checks:
-extending an avoiding matrix by one cell (or one appended column) can only
-create an embedding through that cell (that column), so only pinned
-embeddings are re-tested.  ex_columns handles a column as the sorted tuple
-of its rows; the support slots it fills are the subsets of that tuple.
-Capping each slot at cols-1 columns is exactly the containment test of an
-all-ones certificate pattern, so that pattern gets no pinned check.  The
-slots each candidate fills are worked out once per query, as one bitmask
-over slot indices, so the search tests a candidate with one AND against
-the mask of slots already at their cap.
+are branch and bound that test only the containment an extension can create.
+ex_weight sets a cell at a time and runs the pinned check of that cell.
+ex_columns appends a column, the sorted tuple of its rows, at a time and runs
+no containment search: an all-ones certificate embeds iff a support slot
+(cert_rows-subset of rows) holds cols columns, so bit planes count each
+slot's columns in binary; every other pattern is an automaton whose state
+records, per subset of rows, how many pattern columns the greedy match has
+placed.  What a candidate covers is one bitmask per query, so testing it
+takes a few ANDs.
 
 Boundary semantics for ex_columns:
   * k > m: the value is 0 (no column can hold k ones).
@@ -27,11 +26,11 @@ Boundary semantics for ex_columns:
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
 bound.  Both searches run on one explicit-stack driver, so their depth is
-limited by memory, not by Python's recursion limit.  A column query whose
-candidate list would exceed COLUMN_CANDIDATE_LIMIT or whose candidates x
-slots cover table would exceed MATRIX_CELL_LIMIT cells, and a weight query
-beyond MATRIX_CELL_LIMIT cells, is refused with SizeLimitError before the
-table or the matrix is built.
+limited by memory, not by Python's recursion limit.  A column query with
+more than COLUMN_CANDIDATE_LIMIT candidates and slots, or whose candidates
+times table bits (slots, plus the largest checked subset count per checked
+pattern column) pass MATRIX_CELL_LIMIT, and a weight query beyond that
+limit, is refused with SizeLimitError before anything is built.
 """
 
 from __future__ import annotations
@@ -40,16 +39,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
+from operator import or_
 
 from .matrix import (
+    MATRIX_CELL_LIMIT,
     Matrix01,
     PatternSet,
     SizeLimitError,
     _contains_using_cell,
-    _contains_using_last_col,
     _transpose,
     avoids_all,
     check_cells,
@@ -214,6 +214,36 @@ def _finiteness_certificate(m: int, k: int, pats) -> tuple[Matrix01, int] | None
     return best
 
 
+def _cover_masks(m: int, needs, candidates) -> list[int]:
+    """Per candidate, the mask of the bits i for which it holds every row in
+    needs[i], that is lacks none of them; holds[r] marks the bits needing r."""
+    holds = _transpose(needs, m)
+    every = (1 << len(needs)) - 1
+    lacked = (reduce(or_, (holds[r] for r in range(m) if r not in sel), 0) for sel in candidates)
+    return [every & ~mask for mask in lacked]
+
+
+def _automaton(m: int, patterns, block: int, candidates) -> tuple[int, int, list[int]]:
+    """(state, last, cov) of the append-a-column automaton of the patterns.
+
+    Pattern column j owns `block` bits of `state`, the first C(m, rows) for
+    the row subsets on which the greedy match (exact, by the exchange
+    argument of _embeds) has placed j columns.  cov[c] marks those on which
+    candidate c matches each column.  Appending c completes a pattern iff
+    its hit, state & cov[c], meets `last`; otherwise the hit moves up one
+    block."""
+    needs, state, last = [], 0, 0
+    for p in patterns:
+        subsets = list(combinations(range(m), p.rows))
+        every = (1 << len(subsets)) - 1
+        state |= every << len(needs)
+        for col in p.columns():
+            needs += [sum(1 << t[a] for a in range(p.rows) if col >> a & 1) for t in subsets]
+            needs += [0] * (block - len(subsets))
+        last |= every << len(needs) - block
+    return state, last, _cover_masks(m, needs, candidates) if patterns else repeat(0)
+
+
 def ex_columns(
     m: int,
     k: int,
@@ -261,74 +291,63 @@ def ex_columns(
             f"m={m}, k={k} needs more candidate columns and support slots "
             f"than the limit {COLUMN_CANDIDATE_LIMIT}"
         )
+    # The slot check is the containment test of an all-ones certificate, and
+    # a pattern taller than the host never embeds, so neither is checked.
+    filled = cert == Matrix01.filled(cert_rows, cert_cols)
+    checked = [p for p in dict.fromkeys(pats) if p.rows <= m and not (filled and p == cert)]
+    block = max((comb(m, p.rows) for p in checked), default=0)
+    count = sum(comb(m, size) for size in range(k, m + 1))
+    bits = comb(m, cert_rows) + block * sum(p.cols for p in checked)
+    if count * bits > MATRIX_CELL_LIMIT:
+        raise SizeLimitError(
+            f"m={m}, k={k}: {count} candidate columns x {bits} table bits "
+            f"exceed the {MATRIX_CELL_LIMIT}-cell limit"
+        )
     candidates = sorted(sel for size in range(k, m + 1) for sel in combinations(range(m), size))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(candidates)
 
-    # Slot i is the i-th cert_rows-subset of rows.  A candidate's cover has
-    # bit i set when the candidate holds every row of slot i, that is when
-    # slot i holds none of the rows the candidate lacks; holds[r] marks the
-    # slots that hold row r.  `full` marks the slots that already support
-    # cert_cols-1 chosen columns.
-    slots = list(combinations(range(m), cert_rows))
-    check_cells(len(candidates), len(slots))
-    holds = _transpose([sum(1 << r for r in t) for t in slots], m)
-    every = (1 << len(slots)) - 1
-    table = []
-    for sel in candidates:
-        lacked = 0
-        for r in range(m):
-            if r not in sel:
-                lacked |= holds[r]
-        table.append((sel, every & ~lacked, comb(len(sel), cert_rows)))
-    occ = [0] * len(slots)
-    full = 0
-    slack = cap
+    # Slot i is the i-th cert_rows-subset of rows; `cover` marks the slots a
+    # candidate fills.  No slot's count passes cert_cols-1, so the slots at
+    # it, `full`, are those set in every plane of a one bit of cert_cols-1.
+    slots = combinations(range(m), cert_rows)
+    covers = _cover_masks(m, [sum(1 << r for r in t) for t in slots], candidates)
+    planes = [0] * (cert_cols - 1).bit_length()
+    spelled = [i for i in range(len(planes)) if (cert_cols - 1) >> i & 1]
+    full, slack = 0, cap
 
-    # The slot check is the containment test of an all-ones certificate, so
-    # its pinned check could never fire.
-    if cert == Matrix01.filled(cert_rows, cert_cols):
-        pats = tuple(p for p in pats if p != cert)
+    state, last, cov = _automaton(m, checked, block, candidates)
+    table = list(zip(candidates, covers, (comb(len(s), cert_rows) for s in candidates), cov))
+    del covers, cov
 
-    host_rows = [0] * m
     chosen: list[tuple[int, ...]] = []
     best: list[tuple[int, ...]] = []
 
     def node():
-        nonlocal best, full, slack
+        nonlocal best, full, planes, state, slack
         depth = len(chosen)
         if depth > len(best):
             best = chosen.copy()
         if depth + slack <= len(best):
             return
-        bit = 1 << depth
-        for sel, cover, size in table:
-            if cover & full:
+        for sel, cover, size, cov in table:
+            hit = state & cov
+            if cover & full or hit & last:
                 continue
-            for r in sel:
-                host_rows[r] |= bit
+            saved = full, planes, state
+            planes, carry = planes.copy(), cover
+            for i, plane in enumerate(planes):
+                planes[i], carry = plane ^ carry, plane & carry
+            for i in spelled:
+                cover &= planes[i]
+            full |= cover
+            state = state ^ hit | hit << block
             chosen.append(sel)
-            if not any(_contains_using_last_col(host_rows, m, depth + 1, p) for p in pats):
-                saved = full
-                rest = cover
-                while rest:
-                    i = rest.bit_length() - 1
-                    rest ^= 1 << i
-                    occ[i] += 1
-                    if occ[i] == cert_cols - 1:
-                        full |= 1 << i
-                slack -= size
-                yield node()
-                rest = cover
-                while rest:
-                    i = rest.bit_length() - 1
-                    rest ^= 1 << i
-                    occ[i] -= 1
-                full = saved
-                slack += size
+            slack -= size
+            yield node()
             chosen.pop()
-            for r in sel:
-                host_rows[r] ^= bit
+            slack += size
+            full, planes, state = saved
 
     nodes, exact = _depth_first(node(), budget)
     witness = Matrix01.from_ones(m, len(best), [(r, j) for j, sel in enumerate(best) for r in sel])

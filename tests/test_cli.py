@@ -591,22 +591,29 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "11"
 
 
+HUGE_ARGUMENTS = [
+    (["compute", "columns", "--m", "100000", "--k", "2"], "limit"),
+    (["generate", "pigeonhole", "--m", "1000000", "--k", "500000", "--c", "2"], "limit"),
+    (["generate", "pigeonhole", "--m", "1000000", "--k", "1000000", "--c", "2"], "limit"),
+    (["generate", "Kprime", "--m", "100000", "--k", "1"], "limit"),
+    (["generate", "P", "--r", "30000", "--c", "30000"], "limit"),
+    (["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"], "limit"),
+    (["generate", "lowerP", "--m", "300", "--r", "2", "--k", "3"], "limit"),
+    (["generate", "lowerP", "--m", "5", "--r", "2", "--k", "100000"], "limit"),
+    # 39,203 candidates x 12,870 support slots in the cover table
+    (["compute", "columns", "--m", "16", "--k", "8", "--pattern", "11\n" * 8],
+     "m=16, k=8: 39203 candidate columns x 12870 table bits exceed the 16777216-cell limit"),
+    # 32,752 candidates x (15 slots + 40 pattern columns x 15 row subsets):
+    # the slots alone fit, the automaton of the checked 1x40 pattern does not
+    (["compute", "columns", "--m", "15", "--k", "2", "--pattern", "1" + "0" * 38 + "1\n"],
+     "m=15, k=2: 32752 candidate columns x 615 table bits exceed the 16777216-cell limit"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["compute", "columns", "--m", "100000", "--k", "2"],
-        ["generate", "pigeonhole", "--m", "1000000", "--k", "500000", "--c", "2"],
-        ["generate", "pigeonhole", "--m", "1000000", "--k", "1000000", "--c", "2"],
-        ["generate", "Kprime", "--m", "100000", "--k", "1"],
-        ["generate", "P", "--r", "30000", "--c", "30000"],
-        ["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"],
-        ["generate", "lowerP", "--m", "300", "--r", "2", "--k", "3"],
-        ["generate", "lowerP", "--m", "5", "--r", "2", "--k", "100000"],
-        # 39,203 candidates x 12,870 support slots in the cover table
-        ["compute", "columns", "--m", "16", "--k", "8", "--pattern", "11\n" * 8],
-    ],
+    "argv,message", HUGE_ARGUMENTS, ids=[f"argv{i}" for i in range(len(HUGE_ARGUMENTS))]
 )
-def test_huge_integer_arguments_are_refused_at_once(argv, tmp_path):
+def test_huge_integer_arguments_are_refused_at_once(argv, message, tmp_path):
     # The child runs with a 400 MiB address space and a 5 s timeout, so an
     # oversized build fails the test instead of exhausting the machine.  A
     # compute command gives its pattern's text after --pattern, P22 if none.
@@ -619,7 +626,7 @@ def test_huge_integer_arguments_are_refused_at_once(argv, tmp_path):
         argv = argv[:at] + [str(path)] + argv[at + 1:]
     proc = run_python("-m", "exmat", *argv, timeout=5, preexec_fn=_cap_address_space)
     assert proc.returncode == 2, proc.stderr[-500:]
-    assert "limit" in proc.stderr and proc.stdout == ""
+    assert message in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exmat import (
@@ -28,8 +29,9 @@ from exmat import (
     transpose,
 )
 import exmat.matrix as matrix_module
-from exmat.matrix import _contains_using_cell, _contains_using_last_col, _embeds
+from exmat.matrix import _contains_using_cell, _embeds
 from exmat.patterns import TrsParams, generate_T
+from exmat.search import _automaton
 
 from conftest import matrices, small_patterns
 
@@ -166,7 +168,7 @@ class TestPinnedChecks:
         # AND per pattern one
         tall = Matrix01.filled(600, 1)
         assert _contains_using_cell(tall.row_bits, 600, 1, tall, 599, 0)
-        assert _contains_using_last_col(tall.row_bits, 600, 1, tall)
+        assert _embeds(tall.row_bits, 600, 1, tall, pin_col=(0, 0))
 
     def test_deep_cell_check_pins_only_the_last_pattern_one(self, monkeypatch):
         # 1199 nonzero host rows lie above (1199, 0) and none below, so the
@@ -253,10 +255,29 @@ class TestPinnedChecks:
             )
             assert _contains_using_cell(host.row_bits, host.rows, host.cols, pat, r, c) == expected
 
-    @given(matrices(max_rows=5, max_cols=5), small_patterns())
-    def test_last_column_check_matches_brute_force(self, host, pat):
-        expected = any(csel[-1] == host.cols - 1 for _, csel in brute_embeddings(host, pat))
-        assert _contains_using_last_col(host.row_bits, host.rows, host.cols, pat) == expected
+    @settings(max_examples=300)
+    @given(matrices(max_rows=5, max_cols=5), st.lists(small_patterns(), min_size=1, max_size=2))
+    def test_column_automaton_matches_brute_force(self, host, pats):
+        # the host's columns are the candidates, appended left to right; the
+        # automaton refuses column n-1 iff an embedding of a pattern ends on
+        # it, and then the walk stops, as ex_columns appends no refused
+        # column.  Patterns of two heights share blocks of the larger size.
+        hm = host.rows
+        pats = [p for p in pats if p.rows <= hm]
+        assume(pats)
+        columns = [tuple(r for r in range(hm) if bits >> r & 1) for bits in host.columns()]
+        block = max(comb(hm, p.rows) for p in pats)
+        state, last, cov = _automaton(hm, pats, block, columns)
+        for n in range(1, host.cols + 1):
+            prefix = Matrix01(hm, n, tuple(bits & ((1 << n) - 1) for bits in host.row_bits))
+            expected = any(
+                csel[-1] == n - 1 for p in pats for _, csel in brute_embeddings(prefix, p)
+            )
+            hit = state & cov[n - 1]
+            assert bool(hit & last) == expected
+            if expected:
+                break
+            state = state ^ hit | hit << block
 
 
 class TestAvoidsAll:

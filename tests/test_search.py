@@ -40,14 +40,26 @@ P22 = PatternSet.of(pattern_P(2, 2))
 
 
 def brute_ex_columns(m, k, patterns, max_cols):
-    """Unpruned reference: every column sequence up to max_cols, avoidance by
-    contains_oracle only."""
+    """Unpruned reference: every column sequence up to max_cols, with no
+    bound or slot pruning, avoidance by contains_oracle only.
+
+    An embedding into a prefix followed by more columns splits at the
+    prefix's last column, so two prefixes of one length whose rows T host
+    the same leading columns of each pattern, for every row subset T, have
+    the same avoiding extensions.  That profile is found with
+    contains_oracle too, and each one is expanded once per length.
+    """
     types = []
     for size in range(k, m + 1):
         for sel in combinations(range(m), size):
             types.append(sel)
-
-    best = 0
+    pieces = [
+        (i, rsel, Matrix01(p.rows, j, tuple(bits & ((1 << j) - 1) for bits in p.row_bits)))
+        for i, p in enumerate(patterns) if p.rows <= m
+        for j in range(1, p.cols)
+        for rsel in combinations(range(m), p.rows)
+    ]
+    longest = {}
 
     def as_matrix(cols):
         rows = [0] * m
@@ -56,19 +68,28 @@ def brute_ex_columns(m, k, patterns, max_cols):
                 rows[r] |= 1 << j
         return Matrix01(m, len(cols), tuple(rows))
 
+    def profile(host):
+        return frozenset(
+            (i, rsel, piece.cols) for i, rsel, piece in pieces
+            if contains_oracle(Matrix01(len(rsel), host.cols, tuple(host.row_bits[r] for r in rsel)), piece)
+        )
+
     def rec(cols):
-        nonlocal best
-        best = max(best, len(cols))
+        """Most columns an avoiding extension of cols can add."""
+        most = 0
         if len(cols) == max_cols:
-            return
+            return most
         for t in types:
             nxt = cols + [t]
             host = as_matrix(nxt)
             if not any(contains_oracle(host, p) for p in patterns):
-                rec(nxt)
+                key = (profile(host), len(nxt))
+                if key not in longest:
+                    longest[key] = rec(nxt)
+                most = max(most, 1 + longest[key])
+        return most
 
-    rec([])
-    return best
+    return rec([])
 
 
 class TestExWeight:
@@ -202,15 +223,15 @@ class TestExColumns:
         assert res.value == ref
 
     def test_seeded_differential_against_unpruned_reference(self):
-        # one or two random patterns up to 2x3, each with a one in every
-        # column, at m <= 3 and every k with a finite value; max_cols is the
+        # one or two random patterns up to 3x3, each with a one in every
+        # column, at m <= 4 and every k with a finite value; max_cols is the
         # pigeonhole cap, which bounds the true value
         rng = random.Random(4)
         cases = 0
         for _ in range(40):
             pats = []
             for _ in range(rng.randint(1, 2)):
-                rows, cols = rng.randint(1, 2), rng.randint(1, 3)
+                rows, cols = rng.randint(1, 3), rng.randint(1, 3)
                 while True:
                     bits = tuple(rng.randrange(1 << cols) for _ in range(rows))
                     pat = Matrix01(rows, cols, bits)
@@ -218,7 +239,7 @@ class TestExColumns:
                         break
                 pats.append(pat)
             pats = PatternSet(tuple(pats))
-            for m in range(1, 4):
+            for m in range(1, 5):
                 for k in range(1, m + 1):
                     try:
                         res = ex_columns(m, k, pats)
@@ -233,7 +254,7 @@ class TestExColumns:
                     assert all(bits.bit_count() >= k for bits in res.witness.columns())
                     assert avoids_all(res.witness, pats)
                     cases += 1
-        assert cases >= 150
+        assert cases >= 250
 
     def test_rows_and_k_must_be_positive(self):
         for m, k in ((0, 2), (3, 0), (-1, -1)):
@@ -274,6 +295,8 @@ class TestExColumns:
 
 
 B101_011 = PatternSet.of(Matrix01.from_rows([[1, 0, 1], [0, 1, 1]]))
+C110_011 = Matrix01.from_rows([[1, 1, 0], [0, 1, 1]])
+T10_01_10 = Matrix01.from_rows([[1, 0], [0, 1], [1, 0]])
 
 # (value, nodes_explored, exact, witness text) recorded before the two
 # searches moved onto the explicit-stack driver; a driver or pruning change
@@ -319,6 +342,17 @@ PINNED = [
       "11000000110011111111\n00111111000011111100")),
     ("columns", (4, 2, PatternSet.of(pattern_P(2, 3), *B101_011), {}),
      (9, 6921, True, "000001111\n001111100\n111100010\n110010001")),
+    # recorded before the column automaton: a checked 3-row pattern beside
+    # a 2-row certificate, two checked patterns in candidate order and
+    # shuffled, and checked patterns of two heights, shuffled
+    ("columns", (5, 2, PatternSet.of(pattern_P(2, 2), T10_01_10), {}),
+     (7, 3173, True, "1010101\n1100000\n0111000\n0001110\n0000011")),
+    ("columns", (4, 2, PatternSet.of(*B101_011, C110_011), {}),
+     (6, 1491, True, "001111\n101100\n010010\n110001")),
+    ("columns", (5, 2, PatternSet.of(*B101_011, C110_011), {"shuffle_seed": 7}),
+     (8, 114995, True, "00011111\n00100010\n10011000\n01100001\n11000100")),
+    ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), T10_01_10, *B101_011), {"shuffle_seed": 2}),
+     (11, 15543, True, "00000011111\n00110011000\n01111000100\n11001100010\n10000100001")),
 ]
 
 
@@ -354,16 +388,21 @@ class TestPinnedCallCounts:
         assert (counts["checks"], counts["pinned"], counts["most"]) == (820, 658, 1)
 
     def test_block_certificate_runs_no_column_check(self, monkeypatch):
-        calls = []
-        real = search_module._contains_using_last_col
+        # the slot planes test the all-ones certificate and the automaton
+        # every other pattern, so no embedding search is pinned on a column,
+        # alone or beside a checked pattern
+        pinned = []
+        real = matrix_module._embeds
 
-        def check(*args):
-            calls.append(args)
-            return real(*args)
+        def embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
+            if pin_col is not None:
+                pinned.append(pin_col)
+            return real(hrows, hm, n, pattern, pin_row, pin_col)
 
-        monkeypatch.setattr(search_module, "_contains_using_last_col", check)
+        monkeypatch.setattr(matrix_module, "_embeds", embeds)
         assert ex_columns(6, 2, P22).nodes_explored == 288
-        assert calls == []
+        assert ex_columns(5, 2, PatternSet(P22.patterns + B101_011.patterns)).nodes_explored == 6865
+        assert pinned == []
 
 
 class TestInequalityReports:
