@@ -193,12 +193,13 @@ class ColumnRange:
 # Both stacks are plain lists, so pattern depth is bounded by memory, not by
 # Python's recursion limit.
 #
-# ex_weight's cell check pins the walk: a new cell gets a pattern one pinned
-# on it, row and column, for each one whose counts fit around the cell.  It
-# counts the host around the cell once and the pattern with running counts
-# over one bottom-up, right-to-left pass: a row's walk ends once the ones to
-# the right outnumber the host's, and the pass once the rows below do.
-# ex_columns runs the same greedy column match as an automaton instead.
+# The cell check pins the walk: a new cell gets a pattern one pinned on it,
+# row and column, for each one whose counts fit around the cell.  It counts
+# the host around the cell once and the pattern with running counts over
+# one bottom-up, right-to-left pass: a row's walk ends once the ones to the
+# right outnumber the host's, and the pass once the rows below do.  Both
+# searches run the same greedy match as an automaton instead, ex_columns
+# over row subsets and ex_weight over column subsets.
 # ---------------------------------------------------------------------------
 
 
@@ -272,8 +273,8 @@ def _contains_using_cell(hrows, hm, n, pattern, r, c):
     The pattern's counts are kept running: its nonzero rows are walked
     bottom-up and each row's ones right to left, so the below and right
     counts only grow and the walk stops once they pass the host's.  When
-    every cell after (r, c) in row-major order is zero, as in ex_weight,
-    the walk reaches only the last one of the pattern's last nonzero row.
+    every cell after (r, c) in row-major order is zero, the walk reaches
+    only the last one of the pattern's last nonzero row.
     """
     bits = hrows[r]
     h_above = r - hrows[:r].count(0)

@@ -3,24 +3,29 @@
 ex_weight(m, n, S) is the maximum number of ones in an m x n 0-1 matrix
 avoiding every pattern in S; ex_columns(m, k, S) is the maximum number of
 columns of an m-row matrix with at least k ones per column avoiding S.  Both
-are branch and bound that test only the containment an extension can create.
-ex_weight sets a cell at a time and runs the pinned check of that cell.
-ex_columns appends a column, the sorted tuple of its rows, at a time and runs
-no containment search: an all-ones certificate embeds iff a support slot
-(cert_rows-subset of rows) holds cols columns, so bit planes count each
-slot's columns in binary; every other pattern is an automaton whose state
-records, per subset of rows, how many pattern columns the greedy match has
-placed.  What a candidate covers is one bitmask per query, so testing it
-takes a few ANDs.
+are branch and bound that test only the containment an extension can create,
+and neither runs a containment search once its boundary cases and seeds are
+settled.  Every checked pattern is an automaton whose state records, per
+subset of host positions, how many pattern lines the greedy match has placed.
+ex_columns appends a column, the sorted tuple of its rows, at a time: the
+automaton runs over row subsets, and an all-ones certificate embeds iff a
+support slot (cert_rows-subset of rows) holds cols columns, so bit planes
+count each slot's columns in binary.  ex_weight sets a cell at a time in
+row-major order: the automaton runs over column subsets and advances once
+per finished row, and a cell set to 1 is tested against the zeros of its row.
+What a candidate covers is one bitmask per query, so testing it takes a few
+ANDs.
 
 Boundary semantics for ex_columns:
   * k > m: the value is 0 (no column can hold k ones).
-  * the m-row host whose top k or bottom k rows are all ones avoids every
-    pattern at the widest pattern's width: unbounded, because its columns
-    are all alike, so it avoids them at any width.
   * some pattern has at most k rows in total: finite, and capped by
-    (cols-1) * C(m, rows) via pigeonhole on column supports.  When no such
-    certificate exists and the unbounded case does not fire, the search
+    (cols-1) * C(m, rows) via pigeonhole on column supports.
+  * otherwise the value is unbounded iff, for some k-subset of rows, the
+    m-row host with ones exactly on those rows avoids every pattern at the
+    widest pattern's width.  When m is large beside k and the patterns'
+    height, k+1 of these hosts decide it; else every subset is tested while
+    there are at most COLUMN_CANDIDATE_LIMIT, and beyond that only the top
+    k and the bottom k rows.  When no tested host avoids, the search
     refuses with UnknownBoundError instead of looping forever.
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
@@ -30,7 +35,9 @@ limited by memory, not by Python's recursion limit.  A column query with
 more than COLUMN_CANDIDATE_LIMIT candidates and slots, or whose candidates
 times table bits (slots, plus the largest checked subset count per checked
 pattern column) pass MATRIX_CELL_LIMIT, and a weight query beyond that
-limit, is refused with SizeLimitError before anything is built.
+limit, or whose n columns times table bits (the largest checked column
+subset count per checked pattern row) pass it, is refused with
+SizeLimitError before anything is built.
 """
 
 from __future__ import annotations
@@ -49,12 +56,12 @@ from .matrix import (
     Matrix01,
     PatternSet,
     SizeLimitError,
-    _contains_using_cell,
     _transpose,
     avoids_all,
     check_cells,
     contains_oracle,
     is_range_overlapping,
+    transpose,
 )
 
 UNBOUNDED = math.inf
@@ -127,6 +134,17 @@ def _canonical_seeds(m: int, n: int) -> list[Matrix01]:
     return [Matrix01.zeros(m, n), single_col, single_row]
 
 
+def _binomial_past(n: int, k: int, cap: int) -> int:
+    """C(n, k), or some number above cap when C(n, k) is: the product stops
+    once a C(n, j) on the way passes cap, so no huge binomial is built."""
+    value = 1
+    for j in range(min(k, n - k)):
+        value = value * (n - j) // (j + 1)
+        if value > cap:
+            break
+    return value
+
+
 def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -> ExtremalResult:
     """Maximum weight of an m x n matrix avoiding every pattern.
 
@@ -135,14 +153,37 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     incumbent.  The incumbent starts from the best avoiding matrix among
     the zero matrix, a single all-ones column and a single all-ones row, so
     any result, exact or budget-cut, is at least that seed's weight.
+
+    Containment is the append-a-column automaton of the transposed
+    patterns, so its columns are pattern rows and its subsets are column
+    subsets of the host.  states[r] is the automaton after rows 0..r-1.
+    A pattern's z trailing zero rows get no level, since a zero host row is
+    never tested; its last nonzero row counts in last[r] only while r + z
+    <= m-1.  Every later cell of the current row is still 0, so setting
+    (r, c) completes a pattern iff a subset at its last level lacks none of
+    its row's columns among the row's zeros and the columns after c.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     check_cells(m, n)
-    pats = tuple(patterns)
     if not avoids_all(Matrix01.zeros(m, n), patterns):
         raise ValueError(
             "an all-zero pattern fits inside every host; no avoiding matrix exists"
+        )
+    # Every pattern that fits is nonzero here, so its nonzero rows are kept.
+    checked, tails = [], []
+    for p in dict.fromkeys(patterns):
+        if p.rows <= m and p.cols <= n:
+            height = max(a for a, bits in enumerate(p.row_bits) if bits) + 1
+            checked.append(Matrix01(height, p.cols, p.row_bits[:height]))
+            tails.append(p.rows - height)
+    cap = MATRIX_CELL_LIMIT // n
+    block = max((_binomial_past(n, p.cols, cap) for p in checked), default=0)
+    bits = block * sum(p.rows for p in checked)
+    if n * bits > MATRIX_CELL_LIMIT:
+        raise SizeLimitError(
+            f"m={m}, n={n}: {n} columns x {bits if block <= cap else f'over {cap}'} "
+            f"table bits exceed the {MATRIX_CELL_LIMIT}-cell limit"
         )
     best_m = Matrix01.zeros(m, n)
     best_w = 0
@@ -150,10 +191,21 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
         if seed.weight > best_w and avoids_all(seed, patterns):
             best_m, best_w = seed, seed.weight
 
+    state, ends, needs = _automaton(n, [transpose(p) for p in checked], block)
+    lacks = _transpose(needs, n)
+    del needs
+    beyond = list(accumulate(lacks[:0:-1], or_, initial=0))[::-1]
+    last = [sum(e for e, z in zip(ends, tails) if r + z < m) for r in range(m)]
+    # A last level is met only in the last z rows, with no room left for the
+    # zero rows; such a match stays put instead of moving into the next
+    # pattern's blocks.
+    lower = ~sum(ends)
+    states = [state] * m
+
     rows = [0] * m
     total = m * n
 
-    def node(t: int, w: int):
+    def node(t: int, w: int, zeros: int):
         nonlocal best_m, best_w
         if w + (total - t) <= best_w:
             return
@@ -162,13 +214,18 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
             best_m = Matrix01(m, n, tuple(rows))
             return
         r, c = divmod(t, n)
+        if not c and r:
+            st = states[r - 1]
+            hit = st & ~zeros & lower
+            states[r] = st ^ hit | hit << block
+            zeros = 0
         rows[r] |= 1 << c
-        if not any(_contains_using_cell(rows, m, n, p, r, c) for p in pats):
-            yield node(t + 1, w + 1)
+        if not states[r] & last[r] & ~(zeros | beyond[c]):
+            yield node(t + 1, w + 1, zeros)
         rows[r] ^= 1 << c
-        yield node(t + 1, w)
+        yield node(t + 1, w, zeros | lacks[c])
 
-    nodes, exact = _depth_first(node(0, 0), budget)
+    nodes, exact = _depth_first(node(0, 0, 0), budget)
     return ExtremalResult(best_w, best_m, nodes, exact)
 
 
@@ -214,6 +271,40 @@ def _finiteness_certificate(m: int, k: int, pats) -> tuple[Matrix01, int] | None
     return best
 
 
+def _band_hosts(m: int, k: int, pats):
+    """The hosts whose avoidance decides that (m, k, pats) is unbounded.
+
+    For a k-subset K of rows, the band host has ones exactly on the rows in
+    K and is as wide as the widest pattern.  Its columns are all alike, so
+    if it avoids the patterns it does so at any width.  If none avoids
+    them, a support of k or more rows appears fewer times than that width,
+    so the value is finite.  An embedding uses at most `depth` rows of a run
+    of equal host rows, so a run may be cut to `depth` rows.  When the m-k
+    zero rows cannot all sit in the k+1 gaps around the ones with fewer
+    than `depth` in each, every band host holds, as a sub-host, a split
+    one: ones on its top a and bottom k-a rows.  Those k+1 then decide.
+    Otherwise every band is tested while there are at most
+    COLUMN_CANDIDATE_LIMIT of them, else only the top and bottom ones.
+    """
+    depth, width = max(p.rows for p in pats), max(p.cols for p in pats)
+    full = (1 << width) - 1
+    if m - k > (k + 1) * (depth - 1):
+        splits = range(k + 1)
+    elif _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT) <= COLUMN_CANDIDATE_LIMIT:
+        for band in combinations(range(m), k):
+            rows = [0] * m
+            for r in band:
+                rows[r] = full
+            yield Matrix01(m, width, tuple(rows))
+        return
+    else:
+        splits = (k, 0)
+    gap = (0,) * min(m - k, depth)
+    for a in splits:
+        rows = (full,) * min(a, depth) + gap + (full,) * min(k - a, depth)
+        yield Matrix01(len(rows), width, rows)
+
+
 def _cover_masks(m: int, needs, candidates) -> list[int]:
     """Per candidate, the mask of the bits i for which it holds every row in
     needs[i], that is lacks none of them; holds[r] marks the bits needing r."""
@@ -223,16 +314,17 @@ def _cover_masks(m: int, needs, candidates) -> list[int]:
     return [every & ~mask for mask in lacked]
 
 
-def _automaton(m: int, patterns, block: int, candidates) -> tuple[int, int, list[int]]:
-    """(state, last, cov) of the append-a-column automaton of the patterns.
+def _automaton(m: int, patterns, block: int) -> tuple[int, list[int], list[int]]:
+    """(state, ends, needs) of the append-a-column automaton of the patterns.
 
     Pattern column j owns `block` bits of `state`, the first C(m, rows) for
     the row subsets on which the greedy match (exact, by the exchange
-    argument of _embeds) has placed j columns.  cov[c] marks those on which
-    candidate c matches each column.  Appending c completes a pattern iff
-    its hit, state & cov[c], meets `last`; otherwise the hit moves up one
-    block."""
-    needs, state, last = [], 0, 0
+    argument of _embeds) has placed j columns.  needs[i] is the mask of the
+    host rows that bit i's subset needs for its column, and ends[p] marks
+    pattern p's last block.  A column holding needs[i] for a set bit i of
+    `state` completes a pattern if i is in an end block; otherwise bit i
+    moves up one block."""
+    needs, state, ends = [], 0, []
     for p in patterns:
         subsets = list(combinations(range(m), p.rows))
         every = (1 << len(subsets)) - 1
@@ -240,8 +332,8 @@ def _automaton(m: int, patterns, block: int, candidates) -> tuple[int, int, list
         for col in p.columns():
             needs += [sum(1 << t[a] for a in range(p.rows) if col >> a & 1) for t in subsets]
             needs += [0] * (block - len(subsets))
-        last |= every << len(needs) - block
-    return state, last, _cover_masks(m, needs, candidates) if patterns else repeat(0)
+        ends.append(every << len(needs) - block)
+    return state, ends, needs
 
 
 def ex_columns(
@@ -266,15 +358,10 @@ def ex_columns(
     pats = tuple(patterns)
     if k > m:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
-    # An embedding uses at most `depth` rows of the all-ones band and of the
-    # zero rows, each of them all alike, so both are cut to that height.
-    depth, width = max(p.rows for p in pats), max(p.cols for p in pats)
-    ones, gap = ((1 << width) - 1,) * min(k, depth), (0,) * min(m - k, depth)
-    height = len(ones) + len(gap)
-    if any(avoids_all(Matrix01(height, width, b), patterns) for b in (ones + gap, gap + ones)):
-        return ExtremalResult(UNBOUNDED, None, 0, True)
     found = _finiteness_certificate(m, k, pats)
     if found is None:
+        if any(avoids_all(host, patterns) for host in _band_hosts(m, k, pats)):
+            return ExtremalResult(UNBOUNDED, None, 0, True)
         raise UnknownBoundError(
             f"no pattern with at most k={k} rows and no unbounded certificate for m={m}"
         )
@@ -316,7 +403,10 @@ def ex_columns(
     spelled = [i for i in range(len(planes)) if (cert_cols - 1) >> i & 1]
     full, slack = 0, cap
 
-    state, last, cov = _automaton(m, checked, block, candidates)
+    state, ends, needs = _automaton(m, checked, block)
+    last = sum(ends)
+    cov = _cover_masks(m, needs, candidates) if checked else repeat(0)
+    del needs
     table = list(zip(candidates, covers, (comb(len(s), cert_rows) for s in candidates), cov))
     del covers, cov
 

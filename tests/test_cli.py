@@ -186,13 +186,24 @@ class TestCompute:
         assert avoids_all(witness, parse_pattern_set(open(diamond_file).read()))
 
     def test_unknown_bound_exit_code(self, capsys, tmp_path):
+        # 1/0 and 0/1 together: every one has a row above or below it
         odd = tmp_path / "odd.txt"
-        odd.write_text("0\n1\n0\n")
+        odd.write_text("1\n0\n\n0\n1\n")
         code, _, err = run_cli(
-            capsys, "compute", "columns", "--m", "4", "--k", "2", "--pattern", str(odd)
+            capsys, "compute", "columns", "--m", "3", "--k", "1", "--pattern", str(odd)
         )
         assert code == 3
         assert "certificate" in err
+
+    def test_unbounded_through_a_split_band(self, capsys, tmp_path):
+        # ones on rows 1 and 4 of any number of columns avoid 0/1/0
+        path = tmp_path / "pat.txt"
+        path.write_text("0\n1\n0\n")
+        code, out, _ = run_cli(
+            capsys, "compute", "columns", "--m", "4", "--k", "2", "--pattern", str(path)
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == "unbounded"
 
     @pytest.mark.parametrize(
         "text", ["0\n1\n", "1\n0\n", "0\n0\n0\n0\n"], ids=["0/1", "1/0", "zero-4x1"]
@@ -607,6 +618,9 @@ HUGE_ARGUMENTS = [
     # the slots alone fit, the automaton of the checked 1x40 pattern does not
     (["compute", "columns", "--m", "15", "--k", "2", "--pattern", "1" + "0" * 38 + "1\n"],
      "m=15, k=2: 32752 candidate columns x 615 table bits exceed the 16777216-cell limit"),
+    # 257 columns x 2 levels x C(257, 2) column pairs in the row automaton
+    (["compute", "weight", "--m", "257", "--n", "257"],
+     "m=257, n=257: 257 columns x 65792 table bits exceed the 16777216-cell limit"),
 ]
 
 

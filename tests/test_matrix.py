@@ -31,7 +31,7 @@ from exmat import (
 import exmat.matrix as matrix_module
 from exmat.matrix import _contains_using_cell, _embeds
 from exmat.patterns import TrsParams, generate_T
-from exmat.search import _automaton
+from exmat.search import _automaton, _cover_masks
 
 from conftest import matrices, small_patterns
 
@@ -267,7 +267,8 @@ class TestPinnedChecks:
         assume(pats)
         columns = [tuple(r for r in range(hm) if bits >> r & 1) for bits in host.columns()]
         block = max(comb(hm, p.rows) for p in pats)
-        state, last, cov = _automaton(hm, pats, block, columns)
+        state, ends, needs = _automaton(hm, pats, block)
+        last, cov = sum(ends), _cover_masks(hm, needs, columns)
         for n in range(1, host.cols + 1):
             prefix = Matrix01(hm, n, tuple(bits & ((1 << n) - 1) for bits in host.row_bits))
             expected = any(

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exmat import (
@@ -131,6 +131,16 @@ class TestExWeight:
         assert res.value >= 5
         assert avoids_all(res.witness, PatternSet.of(DIAMOND))
 
+    def test_oversized_automaton_is_refused(self):
+        # 256 columns x 2 levels x C(256, 2) column pairs still fit; 257 do not
+        assert ex_weight(256, 256, P22, budget=1).nodes_explored == 2
+        with pytest.raises(SizeLimitError, match="257 columns x 65792 table bits"):
+            ex_weight(257, 257, P22)
+        # C(2^20, 2^19) is never computed in full
+        wide = Matrix01(1, 1 << 19, ((1 << (1 << 19)) - 1,))
+        with pytest.raises(SizeLimitError, match=f"over {(1 << 24) >> 20} table bits"):
+            ex_weight(1, 1 << 20, PatternSet.of(wide))
+
     def test_all_zero_pattern_makes_query_infeasible(self):
         with pytest.raises(ValueError):
             ex_weight(2, 2, PatternSet.of(Matrix01.zeros(1, 1)))
@@ -156,6 +166,47 @@ class TestExWeightSymmetry:
         assert value(n, m, transpose) == base
         assert value(m, n, flip_h) == base
         assert value(m, n, flip_v) == base
+
+
+@st.composite
+def padded_patterns(draw):
+    """A pattern with a one, with up to two zero rows inserted anywhere
+    (leading, middle or trailing) and up to two zero columns."""
+    core = draw(small_patterns().filter(lambda p: p.weight))
+    rows, cols = list(core.row_bits), core.cols
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), 0)
+    for _ in range(draw(st.integers(0, 2))):
+        low = (1 << draw(st.integers(0, cols))) - 1
+        rows = [bits & low | (bits & ~low) << 1 for bits in rows]
+        cols += 1
+    return Matrix01(len(rows), cols, tuple(rows))
+
+
+class TestExWeightZeroLines:
+    @settings(max_examples=150)
+    @given(st.integers(1, 4), st.integers(1, 4), st.lists(padded_patterns(), min_size=1, max_size=2))
+    @example(3, 4, [Matrix01.from_rows([[0, 0], [1, 1], [0, 0], [1, 0]]),
+                    Matrix01.from_rows([[1, 0, 1], [0, 0, 0]])])
+    @example(4, 4, [Matrix01.from_rows([[1, 0], [0, 0], [0, 1]]), Matrix01.from_rows([[0, 1, 1]])])
+    def test_matches_oracle(self, m, n, pats):
+        # zero rows and columns still order the rows and columns around them;
+        # two patterns of different widths share padded level blocks
+        pats = PatternSet(tuple(pats))
+        res = ex_weight(m, n, pats)
+        assert res.exact
+        assert res.value == ex_weight_oracle(m, n, pats).value
+        assert res.witness.weight == res.value and avoids_all(res.witness, pats)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (4, 3), (6, 6), (7, 2)])
+    def test_closed_forms(self, m, n):
+        # a one with a zero row below (above) it: only the last (first) row
+        # may hold ones; a one with a zero column right (left) of it: only
+        # the last (first) column may
+        for rows, value in (([[1], [0]], n), ([[0], [1]], n), ([[1, 0]], m), ([[0, 1]], m)):
+            res = ex_weight(m, n, PatternSet.of(Matrix01.from_rows(rows)))
+            assert res.exact and res.value == value
+            assert avoids_all(res.witness, PatternSet.of(Matrix01.from_rows(rows)))
 
 
 class TestExWeightOracle:
@@ -197,12 +248,83 @@ class TestExColumns:
         assert res.unbounded and res.witness is None and res.exact
 
     def test_unknown_bound_guard(self):
-        # a one in the middle row of three: four rows hold an embedding in
-        # the host of all-ones top rows and in the one of all-ones bottom
-        # rows, and no pattern has at most k rows, so the search must refuse
-        pat = Matrix01.from_ones(3, 1, [(1, 0)])
+        # a one with a row below it, and a one with a row above it: one
+        # all-ones row of three holds one of them wherever it lies, and no
+        # pattern has at most k rows, so the search must refuse
+        pats = PatternSet.of(Matrix01.from_rows([[1], [0]]), Matrix01.from_rows([[0], [1]]))
         with pytest.raises(UnknownBoundError):
-            ex_columns(4, 2, PatternSet.of(pat))
+            ex_columns(3, 1, pats)
+
+    def test_unbounded_through_a_split_band(self):
+        # a one in the middle row of three: the hosts of all-ones top rows
+        # and of all-ones bottom rows both hold it, but ones on rows 0 and 3
+        # leave it no row above and below, however many columns there are
+        pat = Matrix01.from_ones(3, 1, [(1, 0)])
+        assert contains_oracle(Matrix01(4, 5, (31, 31, 0, 0)), pat)
+        assert contains_oracle(Matrix01(4, 5, (0, 0, 31, 31)), pat)
+        assert not contains_oracle(Matrix01(4, 5, (31, 0, 0, 31)), pat)
+        res = ex_columns(4, 2, PatternSet.of(pat))
+        assert res.unbounded and res.witness is None and res.exact
+        # too many bands to test one by one; the split hosts decide
+        assert ex_columns(10**6, 2, PatternSet.of(pat)).unbounded
+
+    def test_unbounded_decision_matches_brute_force(self):
+        # with no pattern of at most k rows the value is unbounded, or at
+        # most (w-1) columns per support of k or more rows, w the widest
+        # pattern's width; so a search for one column more than that cap
+        # decides it
+        rng = random.Random(12)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            k = rng.randint(max(1, m - 2), m)
+            pats = []
+            for _ in range(rng.randint(1, 4)):
+                # k+1 rows, one of them zero, so that a k-row band can hold it
+                rows, cols, gap = k + 1, rng.randint(1, 2), rng.randrange(k + 1)
+                bits = tuple(0 if a == gap else rng.randrange(1, 1 << cols) for a in range(rows))
+                pats.append(Matrix01(rows, cols, bits))
+            pats = PatternSet(tuple(pats))
+            cap = (max(p.cols for p in pats) - 1) * sum(comb(m, j) for j in range(k, m + 1))
+            unbounded = brute_ex_columns(m, k, pats, cap + 1) > cap
+            try:
+                assert ex_columns(m, k, pats).unbounded == unbounded
+            except UnknownBoundError:
+                assert not unbounded
+            seen[unbounded] += 1
+        assert min(seen.values()) >= 10
+
+    def test_unbounded_decision_matches_uncut_band_hosts(self):
+        # the search tests k+1 split hosts, cut to the patterns' height, once
+        # m is large enough (40 of these 108 queries); here every k-subset
+        # host of all m rows is tested as it is
+        rng = random.Random(13)
+        seen = {True: 0, False: 0}
+        for _ in range(120):
+            m, k = rng.randint(1, 10), rng.randint(1, 2)
+            if k > m:
+                continue
+            pats = []
+            for _ in range(rng.randint(1, 4)):
+                rows, cols = rng.randint(k + 1, k + 2), rng.randint(1, 2)
+                bits = tuple(rng.randrange(1 << cols) if rng.random() < 0.6 else 0 for _ in range(rows))
+                if any(bits):
+                    pats.append(Matrix01(rows, cols, bits))
+            if not pats:
+                continue
+            width = max(p.cols for p in pats)
+            full = (1 << width) - 1
+            unbounded = any(
+                not any(contains_oracle(Matrix01(m, width, tuple(full if r in band else 0 for r in range(m))), p)
+                        for p in pats)
+                for band in combinations(range(m), k)
+            )
+            try:
+                assert ex_columns(m, k, PatternSet(tuple(pats))).unbounded == unbounded
+            except UnknownBoundError:
+                assert not unbounded
+            seen[unbounded] += 1
+        assert min(seen.values()) >= 10
 
     @pytest.mark.parametrize("m,k,c", [(3, 2, 2), (4, 2, 2), (4, 2, 3), (3, 3, 2)])
     def test_formula_grid(self, m, k, c):
@@ -365,27 +487,25 @@ def test_pinned_values_and_node_counts(kind, args, expected):
 
 
 class TestPinnedCallCounts:
-    def test_weight_runs_at_most_one_pinned_search_per_cell_check(self, monkeypatch):
-        counts = {"checks": 0, "embeds": 0, "pinned": 0, "most": 0}
-        real_embeds, real_check = matrix_module._embeds, search_module._contains_using_cell
+    def test_weight_runs_no_embedding_search_after_its_seeds(self, monkeypatch):
+        # the zero matrix and the canonical seeds are checked with contains;
+        # once the walk starts, the row automaton decides every cell
+        calls = []
+        walking = []
+        real_embeds, real_walk = matrix_module._embeds, search_module._depth_first
 
         def embeds(*args):
-            counts["embeds"] += 1
+            calls.append(bool(walking))
             return real_embeds(*args)
 
-        def check(*args):
-            before = counts["embeds"]
-            found = real_check(*args)
-            counts["checks"] += 1
-            counts["pinned"] += counts["embeds"] - before
-            counts["most"] = max(counts["most"], counts["embeds"] - before)
-            return found
+        def walk(*args):
+            walking.append(True)
+            return real_walk(*args)
 
         monkeypatch.setattr(matrix_module, "_embeds", embeds)
-        monkeypatch.setattr(search_module, "_contains_using_cell", check)
+        monkeypatch.setattr(search_module, "_depth_first", walk)
         assert ex_weight(4, 4, PatternSet.of(DIAMOND)).nodes_explored == 1404
-        # a pin per pattern one would run 3279 pinned searches here
-        assert (counts["checks"], counts["pinned"], counts["most"]) == (820, 658, 1)
+        assert walking and calls and not any(calls)
 
     def test_block_certificate_runs_no_column_check(self, monkeypatch):
         # the slot planes test the all-ones certificate and the automaton
