@@ -191,49 +191,33 @@ class ColumnRange:
 # lowest set bits is feasible iff some choice is (exchange argument).  Masks
 # only shrink as rows get placed, so the partial check is a sound prune.
 # Both stacks are plain lists, so pattern depth is bounded by memory, not by
-# Python's recursion limit.
-#
-# The cell check pins the walk: a new cell gets a pattern one pinned on it,
-# row and column, for each one whose counts fit around the cell.  It counts
-# the host around the cell once and the pattern with running counts over
-# one bottom-up, right-to-left pass: a row's walk ends once the ones to the
-# right outnumber the host's, and the pass once the rows below do.  Both
-# searches run the same greedy match as an automaton instead, ex_columns
-# over row subsets and ex_weight over column subsets.
+# Python's recursion limit.  Both searches run this greedy match as an
+# automaton instead of calling contains, ex_columns over row subsets and
+# ex_weight over column subsets.
 # ---------------------------------------------------------------------------
 
 
-def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
-    """Embedding test on raw row bitmasks.
+def contains(host: Matrix01, pattern: Matrix01) -> bool:
+    """Ordered containment of pattern in host.
 
-    pin_row = (a0, r0) forces pattern row a0 onto host row r0; pin_col =
-    (b0, c0) forces pattern column b0 onto host column c0, by narrowing the
-    starting mask of column b0.  `assigned` and `masks` are the only stacks:
-    a placed row is pushed with its column masks and the walk resumes at the
-    next pattern row; when a row has no candidate left, the previous one is
-    popped and the walk resumes after it.
+    An all-zero pattern that fits dimension-wise is vacuously contained.
+    `assigned` and `masks` are the only stacks: a placed row is pushed with
+    its column masks and the walk resumes at the next pattern row; when a
+    row has no candidate left, the previous one is popped and the walk
+    resumes after it.
     """
+    hrows, hm, n = host.row_bits, host.rows, host.cols
     p = pattern.rows
     if p > hm or pattern.cols > n:
         return False
-    a0, r0 = pin_row if pin_row is not None else (-1, -1)
-    start = [(1 << n) - 1] * pattern.cols
-    if pin_col is not None:
-        start[pin_col[0]] &= 1 << pin_col[1]
-    masks = [start]
+    masks = [[(1 << n) - 1] * pattern.cols]
     assigned: list[int] = []
     i = 0  # first host row still to try for pattern row len(assigned)
     while len(assigned) < p:
         a = len(assigned)
         bits = pattern.row_bits[a]
         weight = bits.bit_count()
-        if a == a0:
-            i, hi = max(i, r0), r0
-        else:
-            hi = hm - p + a
-            if a < a0:
-                hi = min(hi, r0 - a0 + a)
-        for i in range(i, hi + 1):
+        for i in range(i, hm - p + a + 1):
             row = hrows[i]
             if row.bit_count() < weight:
                 continue
@@ -258,58 +242,6 @@ def _embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
             masks.pop()
             i = assigned.pop() + 1
     return True
-
-
-def _contains_using_cell(hrows, hm, n, pattern, r, c):
-    """True iff an embedding exists that maps some pattern one onto host cell (r, c).
-
-    This is exactly the new containment created by switching (r, c) from 0
-    to 1 in a previously avoiding host.  A pattern one (a, b) is pinned onto
-    (r, c) only if host row r has at least as many ones left and right of c
-    as pattern row a has left and right of b, and the host at least as many
-    nonzero rows above and below r as the pattern above and below a.  An
-    embedding maps each of those ones and nonzero rows to a distinct one or
-    nonzero row on the same side, so a pin that fails a count has none.
-    The pattern's counts are kept running: its nonzero rows are walked
-    bottom-up and each row's ones right to left, so the below and right
-    counts only grow and the walk stops once they pass the host's.  When
-    every cell after (r, c) in row-major order is zero, the walk reaches
-    only the last one of the pattern's last nonzero row.
-    """
-    bits = hrows[r]
-    h_above = r - hrows[:r].count(0)
-    h_below = len(hrows) - 1 - r - hrows[r + 1:].count(0)
-    h_left = (bits & ((1 << c) - 1)).bit_count()
-    h_right = (bits >> c + 1).bit_count()
-    prows = pattern.row_bits
-    above = len(prows) - prows.count(0)
-    below = 0
-    for a in range(len(prows) - 1, -1, -1):
-        row = prows[a]
-        if not row:
-            continue
-        if below > h_below:
-            return False
-        above -= 1
-        if above <= h_above:
-            left, right = row.bit_count() - 1, 0
-            while row and right <= h_right:
-                b = row.bit_length() - 1
-                if left <= h_left and _embeds(hrows, hm, n, pattern, (a, r), (b, c)):
-                    return True
-                row ^= 1 << b
-                left -= 1
-                right += 1
-        below += 1
-    return False
-
-
-def contains(host: Matrix01, pattern: Matrix01) -> bool:
-    """Ordered containment of pattern in host.
-
-    An all-zero pattern that fits dimension-wise is vacuously contained.
-    """
-    return _embeds(host.row_bits, host.rows, host.cols, pattern)
 
 
 def contains_oracle(host: Matrix01, pattern: Matrix01) -> bool:

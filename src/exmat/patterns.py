@@ -11,8 +11,7 @@ permutation block in the bottom middle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
+from itertools import chain, permutations
 
 from .matrix import Matrix01, PatternSet, SizeLimitError, check_cells
 
@@ -81,11 +80,15 @@ def generate_T(params: TrsParams) -> PatternSet:
     literally anyway (one member per left/right pair).
     """
     r, s = params.r, params.s
-    size = factorial(s + 1) ** 2 * factorial(r)
-    if size > T_FAMILY_LIMIT:
-        raise SizeLimitError(
-            f"T({r},{s}) has ((s+1)!)^2*r! = {size} members; the limit is {T_FAMILY_LIMIT}"
-        )
+    size = 1
+    # ((s+1)!)^2 * r!, one factor at a time, so a huge r or s stops early
+    for factor in chain(range(2, s + 2), range(2, s + 2), range(2, r + 1)):
+        size *= factor
+        if size > T_FAMILY_LIMIT:
+            raise SizeLimitError(
+                f"T({r},{s}) has ((s+1)!)^2*r! = over {T_FAMILY_LIMIT} members, "
+                f"past the {T_FAMILY_LIMIT}-member limit"
+            )
     rows, cols = params.member_rows, params.member_cols
     side = s + 1
     members = []

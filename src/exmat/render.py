@@ -8,6 +8,7 @@ The same layout and edges always produce byte-identical output.
 from __future__ import annotations
 
 from fractions import Fraction
+from sys import float_info
 
 from .visibility import BarLayout, VisEdge
 
@@ -32,6 +33,10 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses:
     row_of_rank = {r: i for i, r in enumerate(ranks)}
     x_min = min(b.x_left for b in bars)
     x_max = max(b.x_right for b in bars)
+    # every coordinate below is at most the scaled span plus margins, so half
+    # the float range leaves room for rounding
+    if (x_max - x_min) * _X_SCALE > float_info.max / 2:
+        raise ValueError("the layout's x-span is too wide for float SVG coordinates")
 
     def sx(x: Fraction) -> float:
         return _MARGIN + float(x - x_min) * _X_SCALE

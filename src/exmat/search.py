@@ -319,7 +319,7 @@ def _automaton(m: int, patterns, block: int) -> tuple[int, list[int], list[int]]
 
     Pattern column j owns `block` bits of `state`, the first C(m, rows) for
     the row subsets on which the greedy match (exact, by the exchange
-    argument of _embeds) has placed j columns.  needs[i] is the mask of the
+    argument of contains) has placed j columns.  needs[i] is the mask of the
     host rows that bit i's subset needs for its column, and ends[p] marks
     pattern p's last block.  A column holding needs[i] for a set bit i of
     `state` completes a pattern if i is in an end block; otherwise bit i

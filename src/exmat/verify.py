@@ -27,7 +27,6 @@ from .matrix import (
     Matrix01,
     PatternSet,
     SizeLimitError,
-    _contains_using_cell,
     avoids_all,
     contains,
     contains_oracle,
@@ -109,14 +108,16 @@ def random_avoider(rng: random.Random, rows: int, cols: int, patterns: PatternSe
 
 
 def greedy_avoider(rng: random.Random, rows: int, cols: int, patterns: PatternSet) -> Matrix01:
-    """Maximal avoider: ones added in random order while avoidance survives."""
+    """Maximal avoider: ones added in random order while avoidance survives.
+
+    The grid avoids every pattern before a cell is set, so a containment
+    found after setting it uses that cell."""
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     rng.shuffle(cells)
     grid = [0] * rows
-    pats = tuple(patterns)
     for r, c in cells:
         grid[r] |= 1 << c
-        if any(_contains_using_cell(grid, rows, cols, p, r, c) for p in pats):
+        if not avoids_all(Matrix01(rows, cols, tuple(grid)), patterns):
             grid[r] ^= 1 << c
     return Matrix01(rows, cols, tuple(grid))
 

@@ -26,6 +26,7 @@ all endpoints distinct without changing which columns a bar covers.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,6 +270,9 @@ def check_avoider_weight_bound(matrix: Matrix01, r: int, s: int) -> AvoiderWeigh
 # ---------------------------------------------------------------------------
 
 
+_COORDINATE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_layout(text: str, s: int) -> BarLayout:
     bars = []
     for ln in text.strip().splitlines():
@@ -277,6 +281,8 @@ def parse_layout(text: str, s: int) -> BarLayout:
             continue
         if len(parts) != 3:
             raise ValueError(f"expected 'y_rank x_left x_right', got {ln!r}")
+        if not all(_COORDINATE.fullmatch(x) for x in parts[1:]):
+            raise ValueError(f"bad bar line {ln!r}: coordinates are integers or p/q")
         try:
             bars.append(Bar(int(parts[0]), Fraction(parts[1]), Fraction(parts[2])))
         except (ValueError, ZeroDivisionError) as exc:

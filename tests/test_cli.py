@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -22,6 +23,7 @@ from exmat import (
     parse_pattern_set,
 )
 from exmat.cli import main
+from exmat.patterns import T_FAMILY_LIMIT
 from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +92,16 @@ class TestGenerate:
         code, out, _ = run_cli(capsys, "generate", "T", "--r", "1", "--s", "0")
         assert code == 0
         assert out.strip() == "010\n101\n010"
+
+    @pytest.mark.parametrize("r,s", [(1_000_000, 0), (0, 200_000)])
+    def test_huge_T_family_is_refused_at_once(self, capsys, r, s):
+        # the member count grows one factor at a time and stops past the
+        # limit, so no huge factorial is built or printed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "generate", "T", "--r", str(r), "--s", str(s))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"over {T_FAMILY_LIMIT} members" in err and "limit" in err
 
     def test_all_ones_block(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "P", "--r", "2", "--c", "2")
@@ -518,6 +530,19 @@ class TestRender:
         assert code == 0
         assert out.count("<rect") == 5
         assert out.count("<line") == 12
+
+    @pytest.mark.parametrize(
+        "x", ["1e400", "1e20000000", "1" + "0" * 400], ids=["exponent", "long-exponent", "400-digits"]
+    )
+    def test_coordinates_beyond_float_range_are_refused(self, capsys, tmp_path, x):
+        # an exponent is not layout syntax; a 400-digit integer is, but the
+        # span it gives does not fit the float SVG coordinates
+        lay = tmp_path / "bars.txt"
+        lay.write_text(f"1 0 {x}\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "render", str(lay), "--s", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and "Traceback" not in err
 
     def test_duplicate_endpoints_rejected(self, capsys, tmp_path):
         lay = tmp_path / "bars.txt"

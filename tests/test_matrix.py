@@ -28,8 +28,6 @@ from exmat import (
     permutation_matrix,
     transpose,
 )
-import exmat.matrix as matrix_module
-from exmat.matrix import _contains_using_cell, _embeds
 from exmat.patterns import TrsParams, generate_T
 from exmat.search import _automaton, _cover_masks
 
@@ -137,123 +135,17 @@ def brute_embeddings(host, pat):
                 yield rsel, csel
 
 
-class TestPinnedChecks:
-    def test_embeds_matches_brute_force_under_every_pin(self):
+class TestBruteForceDifferentials:
+    def test_contains_matches_brute_force_embeddings(self):
         # hosts up to 6x6 and patterns up to 4x4 stack deeper column masks
-        # and backtrack more than the hypothesis cases; each pair is tried
-        # unpinned, row-pinned, column-pinned and pinned both ways
+        # and backtrack more than the hypothesis cases
         rng = random.Random(6)
         for _ in range(12_500):
             hm, n = rng.randint(1, 6), rng.randint(1, 6)
             host = Matrix01(hm, n, tuple(rng.randrange(1 << n) | rng.randrange(1 << n) for _ in range(hm)))
             p, q = rng.randint(1, 4), rng.randint(1, 4)
             pat = Matrix01(p, q, tuple(rng.randrange(1 << q) for _ in range(p)))
-            embeddings = list(brute_embeddings(host, pat))
-            for pin_row, pin_col in (
-                (None, None),
-                ((rng.randrange(p), rng.randrange(hm)), None),
-                (None, (rng.randrange(q), rng.randrange(n))),
-                ((rng.randrange(p), rng.randrange(hm)), (rng.randrange(q), rng.randrange(n))),
-            ):
-                expected = any(
-                    (pin_row is None or rsel[pin_row[0]] == pin_row[1])
-                    and (pin_col is None or csel[pin_col[0]] == pin_col[1])
-                    for rsel, csel in embeddings
-                )
-                assert _embeds(host.row_bits, hm, n, pat, pin_row, pin_col) == expected
-
-    def test_deep_pinned_checks_reach_the_last_row(self):
-        # one pinned search of 600 placements for each check: the row counts
-        # rule out every pattern one but the last, and a placement costs one
-        # AND per pattern one
-        tall = Matrix01.filled(600, 1)
-        assert _contains_using_cell(tall.row_bits, 600, 1, tall, 599, 0)
-        assert _embeds(tall.row_bits, 600, 1, tall, pin_col=(0, 0))
-
-    def test_deep_cell_check_pins_only_the_last_pattern_one(self, monkeypatch):
-        # 1199 nonzero host rows lie above (1199, 0) and none below, so the
-        # last pattern one is the only one whose counts fit
-        tall = Matrix01.filled(1200, 1)
-        pins = []
-
-        def embeds(*args):
-            pins.append(args[4:])
-            return _embeds(*args)
-
-        monkeypatch.setattr(matrix_module, "_embeds", embeds)
-        assert _contains_using_cell(tall.row_bits, 1200, 1, tall, 1199, 0)
-        assert pins == [((1199, 1199), (0, 0))]
-
-    def test_cell_check_pins_exactly_the_ones_whose_counts_fit(self, monkeypatch):
-        # _embeds answers False, so the walk tries every pin it admits
-        pins = []
-
-        def embeds(hrows, hm, n, pattern, pin_row, pin_col):
-            pins.append((pin_row[0], pin_col[0]))
-            return False
-
-        def room(rows, i, j):
-            """Nonzero rows above and below row i, ones left and right of column j."""
-            nonzero = [x for x, bits in enumerate(rows) if bits]
-            ones = [y for y in range(rows[i].bit_length()) if rows[i] >> y & 1]
-            return (
-                sum(x < i for x in nonzero), sum(x > i for x in nonzero),
-                sum(y < j for y in ones), sum(y > j for y in ones),
-            )
-
-        monkeypatch.setattr(matrix_module, "_embeds", embeds)
-        rng = random.Random(10)
-        for _ in range(1500):
-            hm, n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
-            density = rng.choice((0.2, 0.5, 0.8))
-            rows = [sum(1 << y for y in range(n) if rng.random() < density) for _ in range(hm)]
-            pat = Matrix01(p, q, tuple(rng.randrange(1 << q) for _ in range(p)))
-            for r in range(hm):
-                for c in range(n):
-                    pins.clear()
-                    assert not _contains_using_cell(rows, hm, n, pat, r, c)
-                    host = room(rows, r, c)
-                    expected = [
-                        (a, b) for a, b in pat.ones()
-                        if all(x <= y for x, y in zip(room(pat.row_bits, a, b), host))
-                    ]
-                    assert sorted(pins) == expected
-
-    def test_cell_check_on_row_major_frontier_hosts(self):
-        # ex_weight's hosts: every cell after (r, c) in row-major order is
-        # zero.  A pattern tested as its own host at its last one has every
-        # one of the four counts exactly equal to the host's.
-        rng = random.Random(8)
-        for _ in range(3000):
-            p, q = rng.randint(1, 3), rng.randint(1, 3)
-            pat = Matrix01(p, q, tuple(rng.randrange(1 << q) for _ in range(p)))
-            if not pat.weight:
-                continue
-            hm, n = rng.randint(1, 5), rng.randint(1, 5)
-            r, c = rng.randrange(hm), rng.randrange(n)
-            rows = [rng.randrange(1 << n) | rng.randrange(1 << n) for _ in range(hm)]
-            rows[r] = rows[r] & ((1 << c) - 1) | 1 << c
-            rows[r + 1:] = [0] * (hm - r - 1)
-            frontier = Matrix01(hm, n, tuple(rows))
-            for host, (r, c) in ((frontier, (r, c)), (pat, list(pat.ones())[-1])):
-                expected = any(
-                    (rsel[a], csel[b]) == (r, c)
-                    for rsel, csel in brute_embeddings(host, pat)
-                    for a, b in pat.ones()
-                )
-                found = _contains_using_cell(host.row_bits, host.rows, host.cols, pat, r, c)
-                assert found == expected
-
-    @given(matrices(max_rows=5, max_cols=5), small_patterns())
-    def test_cell_check_matches_brute_force(self, host, pat):
-        embeddings = list(brute_embeddings(host, pat))
-        for r, c in host.ones():
-            expected = any(
-                (rsel[a], csel[b]) == (r, c)
-                for rsel, csel in embeddings
-                for a, b in pat.ones()
-            )
-            assert _contains_using_cell(host.row_bits, host.rows, host.cols, pat, r, c) == expected
+            assert contains(host, pat) == any(brute_embeddings(host, pat))
 
     @settings(max_examples=300)
     @given(matrices(max_rows=5, max_cols=5), st.lists(small_patterns(), min_size=1, max_size=2))

@@ -492,37 +492,36 @@ class TestPinnedCallCounts:
         # once the walk starts, the row automaton decides every cell
         calls = []
         walking = []
-        real_embeds, real_walk = matrix_module._embeds, search_module._depth_first
+        real_contains, real_walk = matrix_module.contains, search_module._depth_first
 
-        def embeds(*args):
+        def contains(*args):
             calls.append(bool(walking))
-            return real_embeds(*args)
+            return real_contains(*args)
 
         def walk(*args):
             walking.append(True)
             return real_walk(*args)
 
-        monkeypatch.setattr(matrix_module, "_embeds", embeds)
+        monkeypatch.setattr(matrix_module, "contains", contains)
         monkeypatch.setattr(search_module, "_depth_first", walk)
         assert ex_weight(4, 4, PatternSet.of(DIAMOND)).nodes_explored == 1404
         assert walking and calls and not any(calls)
 
     def test_block_certificate_runs_no_column_check(self, monkeypatch):
         # the slot planes test the all-ones certificate and the automaton
-        # every other pattern, so no embedding search is pinned on a column,
-        # alone or beside a checked pattern
-        pinned = []
-        real = matrix_module._embeds
+        # every other pattern, so no containment search runs at all, alone
+        # or beside a checked pattern
+        calls = []
+        real = matrix_module.contains
 
-        def embeds(hrows, hm, n, pattern, pin_row=None, pin_col=None):
-            if pin_col is not None:
-                pinned.append(pin_col)
-            return real(hrows, hm, n, pattern, pin_row, pin_col)
+        def contains(host, pattern):
+            calls.append(pattern)
+            return real(host, pattern)
 
-        monkeypatch.setattr(matrix_module, "_embeds", embeds)
+        monkeypatch.setattr(matrix_module, "contains", contains)
         assert ex_columns(6, 2, P22).nodes_explored == 288
         assert ex_columns(5, 2, PatternSet(P22.patterns + B101_011.patterns)).nodes_explored == 6865
-        assert pinned == []
+        assert calls == []
 
 
 class TestInequalityReports:

@@ -13,6 +13,7 @@ from exmat import (
     avoids_all,
     check_avoider_weight_bound,
     contains,
+    contains_oracle,
     format_layout,
     matrix_to_visibility,
     parse_layout,
@@ -147,14 +148,20 @@ class TestLayoutFormat:
         assert again == lay
 
     def test_parses_fractions_and_integers(self):
-        lay = parse_layout("1 0 7\n2 1/3 19/3", 0)
+        lay = parse_layout("1 0 7\n2 1/3 19/3\n3 -2 +7/2", 0)
         assert lay.bars[1].x_left == Fraction(1, 3)
+        assert lay.bars[2] == Bar(3, -2, Fraction(7, 2))
 
     def test_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             parse_layout("1 2", 0)
         with pytest.raises(ValueError):
             parse_layout("a b c", 0)
+
+    @pytest.mark.parametrize("x", ["1.5", "1e3", "1E3", "0x10", "1_000", "3/", "/3", "1/-3", "inf"])
+    def test_coordinates_are_integers_or_fractions_only(self, x):
+        with pytest.raises(ValueError, match="integers or p/q"):
+            parse_layout(f"1 0 {x}", 0)
 
 
 class TestMatrixReduction:
@@ -284,3 +291,23 @@ class TestWeightBound:
             for n in (5, 8, 11):
                 mat = greedy_avoider(rng, n, n, fam)
                 assert check_avoider_weight_bound(mat, r, s).holds
+
+
+class TestGreedyAvoider:
+    @pytest.mark.parametrize("r,s", [(1, 0), (2, 0), (1, 1)])
+    def test_result_is_a_maximal_avoider(self, r, s):
+        # it avoids every member, and a one on any of its zero cells would
+        # complete a member
+        rng = random.Random(300 + 10 * r + s)
+        fam = generate_T(TrsParams(r, s))
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            mat = greedy_avoider(rng, rows, cols, fam)
+            assert not any(contains_oracle(mat, p) for p in fam)
+            for i in range(rows):
+                for j in range(cols):
+                    if not mat.cell(i, j):
+                        bits = list(mat.row_bits)
+                        bits[i] |= 1 << j
+                        grown = Matrix01(rows, cols, tuple(bits))
+                        assert any(contains_oracle(grown, p) for p in fam)
