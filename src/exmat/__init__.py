@@ -20,14 +20,12 @@ from .matrix import (
     flip_h,
     flip_v,
     format_pattern_set,
-    has_identity_or_row_pair,
-    is_light,
     is_range_overlapping,
     parse_matrix,
     parse_pattern_set,
     transpose,
 )
-from .patterns import TrsParams, generate_T, pattern_L, pattern_P, permutation_matrix
+from .patterns import TrsParams, generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
     ExtremalResult,
@@ -36,7 +34,6 @@ from .search import (
     check_column_bound_from_linear_weight,
     check_monotonicity,
     check_range_overlap_inequality,
-    check_rect_square_max,
     ex_columns,
     ex_weight,
     ex_weight_oracle,

@@ -133,11 +133,14 @@ def cmd_compute(args) -> int:
 def _parse_sweep(spec: str):
     try:
         var, lo, hi = spec.split(":")
-        if var not in ("m", "n", "k"):
+        lo, hi = int(lo), int(hi)
+        if var not in ("m", "n", "k") or lo > hi:
             raise ValueError
-        return var, int(lo), int(hi)
+        return var, lo, hi
     except ValueError:
-        raise ValueError(f"bad sweep spec {spec!r}; expected VAR:LO:HI with VAR in m,n,k")
+        raise ValueError(
+            f"bad sweep spec {spec!r}; expected VAR:LO:HI with VAR in m,n,k and LO <= HI"
+        )
 
 
 def cmd_generate(args) -> int:

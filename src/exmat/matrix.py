@@ -290,21 +290,6 @@ def is_range_overlapping(pattern: Matrix01) -> bool:
     return max((r.top for r in ranges), default=0) <= min((r.bottom for r in ranges), default=0)
 
 
-def is_light(pattern: Matrix01) -> bool:
-    """No column holds two ones."""
-    return all(bits.bit_count() <= 1 for bits in pattern.columns())
-
-
-_IDENTITY2 = Matrix01(2, 2, (0b01, 0b10))
-
-
-def has_identity_or_row_pair(pattern: Matrix01) -> bool:
-    """Pattern contains the 2x2 identity matrix or has two ones in one row."""
-    if any(bits.bit_count() >= 2 for bits in pattern.row_bits):
-        return True
-    return contains(pattern, _IDENTITY2)
-
-
 def transpose(matrix: Matrix01) -> Matrix01:
     """Mirror over the main diagonal: row i of the result is column i."""
     return Matrix01(matrix.cols, matrix.rows, tuple(matrix.columns()))

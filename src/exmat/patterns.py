@@ -41,15 +41,6 @@ def pattern_P(r: int, c: int) -> Matrix01:
     return Matrix01.filled(r, c)
 
 
-def permutation_matrix(perm) -> Matrix01:
-    """n x n matrix with a one at (i, perm[i]); perm is a permutation of 1..n."""
-    perm = tuple(perm)
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm}")
-    return Matrix01.from_ones(n, n, ((i, p - 1) for i, p in enumerate(perm)))
-
-
 @dataclass(frozen=True)
 class TrsParams:
     """Parameters of the T family; members are (r+s+2) x (r+2s+2)."""

@@ -8,11 +8,10 @@ and neither runs a containment search once its boundary cases and seeds are
 settled.  Every checked pattern is an automaton whose state records, per
 subset of host positions, how many pattern lines the greedy match has placed.
 ex_columns appends a column, the sorted tuple of its rows, at a time: the
-automaton runs over row subsets, and an all-ones certificate embeds iff a
-support slot (cert_rows-subset of rows) holds cols columns, so bit planes
-count each slot's columns in binary.  ex_weight sets a cell at a time in
-row-major order: the automaton runs over column subsets and advances once
-per finished row, and a cell set to 1 is tested against the zeros of its row.
+automaton runs over row subsets, and the certificate is checked like any
+other pattern.  ex_weight sets a cell at a time in row-major order: the
+automaton runs over column subsets and advances once per finished row, and
+a cell set to 1 is tested against the zeros of its row.
 What a candidate covers is one bitmask per query, so testing it takes a few
 ANDs.
 
@@ -33,11 +32,11 @@ budget-exhausted result carries exact=False and a witness-backed lower
 bound.  Both searches run on one explicit-stack driver, so their depth is
 limited by memory, not by Python's recursion limit.  A column query with
 more than COLUMN_CANDIDATE_LIMIT candidates and slots, or whose candidates
-times table bits (slots, plus the largest checked subset count per checked
-pattern column) pass MATRIX_CELL_LIMIT, and a weight query beyond that
-limit, or whose n columns times table bits (the largest checked column
-subset count per checked pattern row) pass it, is refused with
-SizeLimitError before anything is built.
+times table bits (the largest checked row subset count per checked pattern
+column, the certificate included) pass MATRIX_CELL_LIMIT, and a weight
+query beyond that limit, or whose n columns times table bits (the largest
+checked column subset count per checked pattern row) pass it, is refused
+with SizeLimitError before anything is built.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations
 from math import comb
 from operator import or_
 
@@ -287,21 +286,21 @@ def _band_hosts(m: int, k: int, pats):
     COLUMN_CANDIDATE_LIMIT of them, else only the top and bottom ones.
     """
     depth, width = max(p.rows for p in pats), max(p.cols for p in pats)
-    full = (1 << width) - 1
+    ones = (1 << width) - 1
     if m - k > (k + 1) * (depth - 1):
         splits = range(k + 1)
     elif _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT) <= COLUMN_CANDIDATE_LIMIT:
         for band in combinations(range(m), k):
             rows = [0] * m
             for r in band:
-                rows[r] = full
+                rows[r] = ones
             yield Matrix01(m, width, tuple(rows))
         return
     else:
         splits = (k, 0)
     gap = (0,) * min(m - k, depth)
     for a in splits:
-        rows = (full,) * min(a, depth) + gap + (full,) * min(k - a, depth)
+        rows = (ones,) * min(a, depth) + gap + (ones,) * min(k - a, depth)
         yield Matrix01(len(rows), width, rows)
 
 
@@ -366,7 +365,7 @@ def ex_columns(
             f"no pattern with at most k={k} rows and no unbounded certificate for m={m}"
         )
     cert, cap = found
-    cert_rows, cert_cols = cert.rows, cert.cols
+    cert_rows = cert.rows
     if cap == 0:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
@@ -378,13 +377,12 @@ def ex_columns(
             f"m={m}, k={k} needs more candidate columns and support slots "
             f"than the limit {COLUMN_CANDIDATE_LIMIT}"
         )
-    # The slot check is the containment test of an all-ones certificate, and
-    # a pattern taller than the host never embeds, so neither is checked.
-    filled = cert == Matrix01.filled(cert_rows, cert_cols)
-    checked = [p for p in dict.fromkeys(pats) if p.rows <= m and not (filled and p == cert)]
-    block = max((comb(m, p.rows) for p in checked), default=0)
+    # A pattern taller than the host never embeds, so it is not checked; the
+    # certificate always fits, since it has at most k <= m rows.
+    checked = [p for p in dict.fromkeys(pats) if p.rows <= m]
+    block = max(comb(m, p.rows) for p in checked)
     count = sum(comb(m, size) for size in range(k, m + 1))
-    bits = comb(m, cert_rows) + block * sum(p.cols for p in checked)
+    bits = block * sum(p.cols for p in checked)
     if count * bits > MATRIX_CELL_LIMIT:
         raise SizeLimitError(
             f"m={m}, k={k}: {count} candidate columns x {bits} table bits "
@@ -394,50 +392,36 @@ def ex_columns(
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(candidates)
 
-    # Slot i is the i-th cert_rows-subset of rows; `cover` marks the slots a
-    # candidate fills.  No slot's count passes cert_cols-1, so the slots at
-    # it, `full`, are those set in every plane of a one bit of cert_cols-1.
-    slots = combinations(range(m), cert_rows)
-    covers = _cover_masks(m, [sum(1 << r for r in t) for t in slots], candidates)
-    planes = [0] * (cert_cols - 1).bit_length()
-    spelled = [i for i in range(len(planes)) if (cert_cols - 1) >> i & 1]
-    full, slack = 0, cap
-
     state, ends, needs = _automaton(m, checked, block)
     last = sum(ends)
-    cov = _cover_masks(m, needs, candidates) if checked else repeat(0)
+    cov = _cover_masks(m, needs, candidates)
     del needs
-    table = list(zip(candidates, covers, (comb(len(s), cert_rows) for s in candidates), cov))
-    del covers, cov
+    table = list(zip(candidates, (comb(len(s), cert_rows) for s in candidates), cov))
+    del cov
+    slack = cap
 
     chosen: list[tuple[int, ...]] = []
     best: list[tuple[int, ...]] = []
 
     def node():
-        nonlocal best, full, planes, state, slack
+        nonlocal best, state, slack
         depth = len(chosen)
         if depth > len(best):
             best = chosen.copy()
         if depth + slack <= len(best):
             return
-        for sel, cover, size, cov in table:
+        for sel, size, cov in table:
             hit = state & cov
-            if cover & full or hit & last:
+            if hit & last:
                 continue
-            saved = full, planes, state
-            planes, carry = planes.copy(), cover
-            for i, plane in enumerate(planes):
-                planes[i], carry = plane ^ carry, plane & carry
-            for i in spelled:
-                cover &= planes[i]
-            full |= cover
+            saved = state
             state = state ^ hit | hit << block
             chosen.append(sel)
             slack -= size
             yield node()
             chosen.pop()
             slack += size
-            full, planes, state = saved
+            state = saved
 
     nodes, exact = _depth_first(node(), budget)
     witness = Matrix01.from_ones(m, len(best), [(r, j) for j, sel in enumerate(best) for r in sel])
@@ -540,21 +524,3 @@ def check_monotonicity(m: int, patterns: PatternSet, k_range) -> MonotonicityRep
     values = tuple(ex_columns(m, k, patterns).value for k in ks)
     ok = all(a >= b for a, b in zip(values, values[1:]))
     return MonotonicityReport(m, ks, values, ok)
-
-
-@dataclass(frozen=True)
-class RectMaxReport:
-    m: int
-    n: int
-    rect_value: int
-    square_m_value: int
-    square_n_value: int
-    holds: bool
-
-
-def check_rect_square_max(m: int, n: int, patterns: PatternSet) -> RectMaxReport:
-    """exs(m,n,S) <= max(exs(m,S), exs(n,S)), all sides by oracle."""
-    rect = ex_weight_oracle(m, n, patterns).value
-    sq_m = ex_weight_oracle(m, m, patterns).value
-    sq_n = ex_weight_oracle(n, n, patterns).value
-    return RectMaxReport(m, n, rect, sq_m, sq_n, rect <= max(sq_m, sq_n))

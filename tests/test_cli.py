@@ -276,6 +276,15 @@ class TestCompute:
         )
         assert code == 2
 
+    def test_reversed_sweep_range_is_input_error(self, capsys, p22_file):
+        # an empty range used to print no results and exit 0
+        code, out, err = run_cli(
+            capsys, "compute", "weight", "--n", "3", "--pattern", p22_file,
+            "--sweep", "m:5:3",
+        )
+        assert code == 2
+        assert out == "" and "LO <= HI" in err
+
     @pytest.mark.parametrize(
         "kind,fixed,ignored", [("columns", ("--k", "2"), "n"), ("weight", ("--n", "3"), "k")]
     )
@@ -351,6 +360,21 @@ class TestCompute:
         assert witness.rows == 8 and witness.cols == doc["value"] <= 39 * 28
         assert all(bits.bit_count() >= 2 for bits in witness.columns())
         assert avoids_two_row_block(witness, 40)
+
+    def test_widest_admitted_block_at_m12_is_answered(self, capsys, tmp_path):
+        # 4,083 candidates x 62 x 66 table bits fit; the 2x63 block is refused
+        wide = tmp_path / "p2x62.txt"
+        wide.write_text(("1" * 62 + "\n") * 2)
+        code, out, _ = run_cli(
+            capsys, "compute", "columns", "--m", "12", "--k", "2",
+            "--pattern", str(wide), "--budget", "10",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["exact"] is False and doc["nodes_explored"] == 11
+        witness = parse_matrix(doc["witness"])
+        assert witness.rows == 12 and witness.cols == doc["value"] >= 1
+        assert avoids_two_row_block(witness, 62)
 
     def test_oversized_column_query_is_input_error(self, capsys, p22_file):
         code, out, err = run_cli(
@@ -636,16 +660,18 @@ HUGE_ARGUMENTS = [
     (["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"], "limit"),
     (["generate", "lowerP", "--m", "300", "--r", "2", "--k", "3"], "limit"),
     (["generate", "lowerP", "--m", "5", "--r", "2", "--k", "100000"], "limit"),
-    # 39,203 candidates x 12,870 support slots in the cover table
+    # 39,203 candidates x 2 certificate columns x 12,870 row subsets
     (["compute", "columns", "--m", "16", "--k", "8", "--pattern", "11\n" * 8],
-     "m=16, k=8: 39203 candidate columns x 12870 table bits exceed the 16777216-cell limit"),
-    # 32,752 candidates x (15 slots + 40 pattern columns x 15 row subsets):
-    # the slots alone fit, the automaton of the checked 1x40 pattern does not
+     "m=16, k=8: 39203 candidate columns x 25740 table bits exceed the 16777216-cell limit"),
+    # 32,752 candidates x 40 certificate columns x 15 row subsets
     (["compute", "columns", "--m", "15", "--k", "2", "--pattern", "1" + "0" * 38 + "1\n"],
-     "m=15, k=2: 32752 candidate columns x 615 table bits exceed the 16777216-cell limit"),
+     "m=15, k=2: 32752 candidate columns x 600 table bits exceed the 16777216-cell limit"),
     # 257 columns x 2 levels x C(257, 2) column pairs in the row automaton
     (["compute", "weight", "--m", "257", "--n", "257"],
      "m=257, n=257: 257 columns x 65792 table bits exceed the 16777216-cell limit"),
+    # 4,083 candidates x 63 certificate columns x 66 row pairs; 2x62 fits
+    (["compute", "columns", "--m", "12", "--k", "2", "--pattern", ("1" * 63 + "\n") * 2],
+     "m=12, k=2: 4083 candidate columns x 4158 table bits exceed the 16777216-cell limit"),
 ]
 
 

@@ -18,14 +18,11 @@ from exmat import (
     flip_h,
     flip_v,
     format_pattern_set,
-    has_identity_or_row_pair,
-    is_light,
     is_range_overlapping,
     parse_matrix,
     parse_pattern_set,
     pattern_L,
     pattern_P,
-    permutation_matrix,
     transpose,
 )
 from exmat.patterns import TrsParams, generate_T
@@ -258,28 +255,6 @@ class TestRangeOverlapping:
             ],
         )
         assert base == is_range_overlapping(shuffled)
-
-
-class TestStructuralPredicates:
-    def test_permutation_matrices_are_light(self):
-        assert is_light(permutation_matrix((3, 1, 2)))
-
-    def test_all_ones_block_is_not_light(self):
-        assert not is_light(pattern_P(2, 2))
-
-    def test_l3_has_a_doubled_column(self):
-        # column 3 of L3 carries ones in rows 1 and 4
-        assert not is_light(pattern_L(3))
-        assert pattern_L(3).columns()[2].bit_count() == 2
-
-    def test_row_pair_qualifies(self):
-        assert has_identity_or_row_pair(pattern_L(3))
-
-    def test_identity_qualifies(self):
-        assert has_identity_or_row_pair(IDENT2)
-
-    def test_single_column_does_not_qualify(self):
-        assert not has_identity_or_row_pair(Matrix01.from_ones(4, 1, [(0, 0), (2, 0)]))
 
 
 class TestTextFormat:

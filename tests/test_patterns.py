@@ -6,10 +6,8 @@ from exmat import (
     Matrix01,
     SizeLimitError,
     contains,
-    is_light,
     pattern_L,
     pattern_P,
-    permutation_matrix,
 )
 from exmat.patterns import TrsParams, generate_T
 
@@ -45,26 +43,6 @@ class TestFixedPatterns:
     def test_block_needs_positive_dims(self):
         with pytest.raises(ValueError):
             pattern_P(0, 2)
-
-
-class TestPermutationMatrix:
-    def test_singleton(self):
-        assert permutation_matrix((1,)) == Matrix01.filled(1, 1)
-
-    def test_anti_identity(self):
-        assert permutation_matrix((2, 1)) == Matrix01.from_rows([[0, 1], [1, 0]])
-
-    def test_rejects_non_permutations(self):
-        with pytest.raises(ValueError):
-            permutation_matrix((1, 1))
-        with pytest.raises(ValueError):
-            permutation_matrix((0, 1))
-
-    @pytest.mark.parametrize("perm", [(1, 2, 3), (3, 1, 2), (2, 4, 1, 3)])
-    def test_light_with_one_per_row(self, perm):
-        m = permutation_matrix(perm)
-        assert is_light(m)
-        assert all(bits.bit_count() == 1 for bits in m.row_bits)
 
 
 class TestTFamily:

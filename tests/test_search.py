@@ -18,7 +18,6 @@ from exmat import (
     check_column_bound_from_linear_weight,
     check_monotonicity,
     check_range_overlap_inequality,
-    check_rect_square_max,
     contains_oracle,
     ex_columns,
     ex_weight,
@@ -422,8 +421,9 @@ T10_01_10 = Matrix01.from_rows([[1, 0], [0, 1], [1, 0]])
 
 # (value, nodes_explored, exact, witness text) recorded before the two
 # searches moved onto the explicit-stack driver; a driver or pruning change
-# must not move them silently.  The last two columns entries pin the slot
-# bookkeeping of a 3-row certificate and of a shuffled candidate order.
+# must not move them silently.  The columns entries pin the certificate's
+# pigeonhole bound and its automaton alone, shuffled and beside checked
+# patterns.
 PINNED = [
     ("weight", (4, 4, P22, {}), (9, 5618, True, "1110\n1001\n0101\n0011")),
     ("weight", (4, 4, PatternSet.of(DIAMOND), {}),
@@ -453,9 +453,10 @@ PINNED = [
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), pattern_P(2, 3)), {}),
      (20, 201, True, "11111111000000000000\n11000000111111000000\n00110000110000111100\n"
       "00001100001100110011\n00000011000011001111")),
-    # recorded before the slot cover table: a slot limit of 2, so a slot
-    # fills only on its second column, in candidate order, shuffled, and
-    # beside a pattern that is still checked
+    # recorded before the slot cover table: a 3x3 certificate, so a row
+    # subset's automaton level reaches its last block only on its second
+    # covering column, in candidate order, shuffled, and beside a pattern
+    # that is still checked
     ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {}),
      (20, 143, True, "11111111111100000000\n11111100000011111100\n11000011110011110011\n"
       "00110011001111001111\n00001100111100111111")),
@@ -508,9 +509,9 @@ class TestPinnedCallCounts:
         assert walking and calls and not any(calls)
 
     def test_block_certificate_runs_no_column_check(self, monkeypatch):
-        # the slot planes test the all-ones certificate and the automaton
-        # every other pattern, so no containment search runs at all, alone
-        # or beside a checked pattern
+        # the automaton tests the all-ones certificate like every other
+        # pattern, so no containment search runs at all, alone or beside a
+        # checked pattern
         calls = []
         real = matrix_module.contains
 
@@ -564,15 +565,6 @@ class TestInequalityReports:
         rep = check_monotonicity(4, P22, range(1, 6))
         assert rep.values == (inf, 6, 1, 1, 0)
         assert rep.nonincreasing
-
-    def test_rect_max(self):
-        for m, n in ((2, 4), (3, 4), (3, 3)):
-            rep = check_rect_square_max(m, n, P22)
-            assert rep.holds
-            if m == n:
-                assert rep.square_m_value == rep.square_n_value
-        rep = check_rect_square_max(3, 4, PatternSet.of(DIAMOND))
-        assert rep.holds
 
     def test_linear_certificate_example(self):
         # fit g from oracle values of the 3-row weight extremal function
