@@ -30,7 +30,6 @@ from .search import (
     UNBOUNDED,
     ExtremalResult,
     OracleSizeError,
-    UnknownBoundError,
     check_column_bound_from_linear_weight,
     check_monotonicity,
     check_range_overlap_inequality,

@@ -1,9 +1,9 @@
 """Command-line surface: compute, generate, verify, render, transform.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exhausted or no finiteness certificate.  JSON records carry a "schema": "1"
-field; CSV sweeps start with a header row.  All commands are deterministic
-for identical inputs and flags.
+exhausted.  JSON records carry a "schema": "1" field; CSV sweeps start with
+a header row.  All commands are deterministic for identical inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .patterns import TrsParams, generate_T, pattern_L, pattern_P
 from .render import layout_svg
 from .search import (
     ExtremalResult,
-    UnknownBoundError,
     ex_columns,
     ex_weight,
 )
@@ -325,9 +324,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -204,7 +204,8 @@ def contains(host: Matrix01, pattern: Matrix01) -> bool:
     `assigned` and `masks` are the only stacks: a placed row is pushed with
     its column masks and the walk resumes at the next pattern row; when a
     row has no candidate left, the previous one is popped and the walk
-    resumes after it.
+    resumes after it.  A zero row sits on the first host row it can, since a
+    later one only leaves less room, so it is popped with no retry.
     """
     hrows, hm, n = host.row_bits, host.rows, host.cols
     p = pattern.rows
@@ -237,6 +238,9 @@ def contains(host: Matrix01, pattern: Matrix01) -> bool:
                 i += 1
                 break
         else:  # no candidate left for pattern row a: backtrack
+            while assigned and not pattern.row_bits[len(assigned) - 1]:
+                masks.pop()
+                assigned.pop()
             if not assigned:
                 return False
             masks.pop()

@@ -8,24 +8,22 @@ and neither runs a containment search once its boundary cases and seeds are
 settled.  Every checked pattern is an automaton whose state records, per
 subset of host positions, how many pattern lines the greedy match has placed.
 ex_columns appends a column, the sorted tuple of its rows, at a time: the
-automaton runs over row subsets, and the certificate is checked like any
-other pattern.  ex_weight sets a cell at a time in row-major order: the
-automaton runs over column subsets and advances once per finished row, and
-a cell set to 1 is tested against the zeros of its row.
+automaton runs over row subsets.  ex_weight sets a cell at a time in
+row-major order: the automaton runs over column subsets and advances once
+per finished row, and a cell set to 1 is tested against the zeros of its
+row.
 What a candidate covers is one bitmask per query, so testing it takes a few
 ANDs.
 
-Boundary semantics for ex_columns:
+Boundary semantics for ex_columns, one finiteness rule:
   * k > m: the value is 0 (no column can hold k ones).
   * some pattern has at most k rows in total: finite, and capped by
     (cols-1) * C(m, rows) via pigeonhole on column supports.
-  * otherwise the value is unbounded iff, for some k-subset of rows, the
-    m-row host with ones exactly on those rows avoids every pattern at the
-    widest pattern's width.  When m is large beside k and the patterns'
-    height, k+1 of these hosts decide it; else every subset is tested while
-    there are at most COLUMN_CANDIDATE_LIMIT, and beyond that only the top
-    k and the bottom k rows.  When no tested host avoids, the search
-    refuses with UnknownBoundError instead of looping forever.
+  * otherwise, w the widest pattern's width, the value is unbounded iff,
+    for some k-subset of rows, the m-row band host with ones exactly on
+    those rows avoids every pattern at width w.  If none does, w columns
+    whose supports share k rows contain a band host, so (w-1) * C(m, k)
+    caps the value.  _band_hosts says which hosts decide it.
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
@@ -33,10 +31,10 @@ bound.  Both searches run on one explicit-stack driver, so their depth is
 limited by memory, not by Python's recursion limit.  A column query with
 more than COLUMN_CANDIDATE_LIMIT candidates and slots, or whose candidates
 times table bits (the largest checked row subset count per checked pattern
-column, the certificate included) pass MATRIX_CELL_LIMIT, and a weight
-query beyond that limit, or whose n columns times table bits (the largest
-checked column subset count per checked pattern row) pass it, is refused
-with SizeLimitError before anything is built.
+column) pass MATRIX_CELL_LIMIT, and a weight query beyond that limit, or
+whose n columns times table bits (the largest checked column subset count
+per checked pattern row) pass it, is refused with SizeLimitError before
+anything is built.
 """
 
 from __future__ import annotations
@@ -73,10 +71,6 @@ ORACLE_CACHE_SIZE = 128
 # ex_columns refuses queries whose candidate columns plus support slots
 # exceed this count; m = 15 at k = 2 still fits.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
-
-
-class UnknownBoundError(RuntimeError):
-    """No finiteness certificate applies; refusing an unbounded column search."""
 
 
 class OracleSizeError(ValueError):
@@ -258,16 +252,18 @@ def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     return ExtremalResult(best_w, best, 1 << (m * n), True)
 
 
-def _finiteness_certificate(m: int, k: int, pats) -> tuple[Matrix01, int] | None:
-    """(pattern, cap) of the first pattern with at most k rows whose
-    pigeonhole cap (cols-1)*C(m, rows) is smallest, if any."""
-    best = None
-    for p in pats:
-        if p.rows <= k:
-            cap = (p.cols - 1) * comb(m, p.rows)
-            if best is None or cap < best[1]:
-                best = (p, cap)
-    return best
+def _column_bound(m: int, k: int, pats) -> tuple[int, int] | None:
+    """(cert_rows, cap) bounding the column search, or None when the value
+    is unbounded.  A chosen column fills one slot per cert_rows-subset of
+    its rows, and all of them fill at most cap slots.  The bound is the
+    smallest pigeonhole cap, the first on ties, or failing one the band
+    hosts' (k, (w-1)*C(m, k)); the module docstring derives both."""
+    caps = [(p.rows, (p.cols - 1) * comb(m, p.rows)) for p in pats if p.rows <= k]
+    if caps:
+        return min(caps, key=lambda bound: bound[1])
+    if any(avoids_all(host, pats) for host in _band_hosts(m, k, pats)):
+        return None
+    return k, (max(p.cols for p in pats) - 1) * comb(m, k)
 
 
 def _band_hosts(m: int, k: int, pats):
@@ -283,25 +279,33 @@ def _band_hosts(m: int, k: int, pats):
     than `depth` in each, every band host holds, as a sub-host, a split
     one: ones on its top a and bottom k-a rows.  Those k+1 then decide.
     Otherwise every band is tested while there are at most
-    COLUMN_CANDIDATE_LIMIT of them, else only the top and bottom ones.
+    COLUMN_CANDIDATE_LIMIT of them, else only the top and bottom ones; an
+    untested band may still avoid, so once both of those have been yielded
+    the query is refused with SizeLimitError.
     """
     depth, width = max(p.rows for p in pats), max(p.cols for p in pats)
     ones = (1 << width) - 1
+    gap = (0,) * min(m - k, depth)
+
+    def split(a):
+        rows = (ones,) * min(a, depth) + gap + (ones,) * min(k - a, depth)
+        return Matrix01(len(rows), width, rows)
+
     if m - k > (k + 1) * (depth - 1):
-        splits = range(k + 1)
+        yield from map(split, range(k + 1))
     elif _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT) <= COLUMN_CANDIDATE_LIMIT:
         for band in combinations(range(m), k):
             rows = [0] * m
             for r in band:
                 rows[r] = ones
             yield Matrix01(m, width, tuple(rows))
-        return
     else:
-        splits = (k, 0)
-    gap = (0,) * min(m - k, depth)
-    for a in splits:
-        rows = (ones,) * min(a, depth) + gap + (ones,) * min(k - a, depth)
-        yield Matrix01(len(rows), width, rows)
+        yield split(k)
+        yield split(0)
+        raise SizeLimitError(
+            f"m={m}, k={k}: the top and bottom band hosts hold a pattern, and the "
+            f"other bands number more than the limit {COLUMN_CANDIDATE_LIMIT}"
+        )
 
 
 def _cover_masks(m: int, needs, candidates) -> list[int]:
@@ -348,24 +352,19 @@ def ex_columns(
     A column is the sorted tuple of its rows.  Columns (every row subset of
     size >= k) are appended left to right in lexicographic order of those
     tuples; shuffle_seed reorders the candidates, which must not change the
-    optimum.  Pruning uses the certificate pattern's support slots: every
-    cert_rows-subset of rows can support at most cols-1 chosen columns, and
-    an appended column consumes the slots among its own rows.
+    optimum.  Pruning uses the support slots of _column_bound: an appended
+    column consumes the slots among its own rows, at least C(k, cert_rows)
+    of them, so no more than slack // C(k, cert_rows) columns can follow.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
     pats = tuple(patterns)
     if k > m:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
-    found = _finiteness_certificate(m, k, pats)
-    if found is None:
-        if any(avoids_all(host, patterns) for host in _band_hosts(m, k, pats)):
-            return ExtremalResult(UNBOUNDED, None, 0, True)
-        raise UnknownBoundError(
-            f"no pattern with at most k={k} rows and no unbounded certificate for m={m}"
-        )
-    cert, cap = found
-    cert_rows = cert.rows
+    bound = _column_bound(m, k, pats)
+    if bound is None:
+        return ExtremalResult(UNBOUNDED, None, 0, True)
+    cert_rows, cap = bound
     if cap == 0:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
@@ -377,8 +376,9 @@ def ex_columns(
             f"m={m}, k={k} needs more candidate columns and support slots "
             f"than the limit {COLUMN_CANDIDATE_LIMIT}"
         )
-    # A pattern taller than the host never embeds, so it is not checked; the
-    # certificate always fits, since it has at most k <= m rows.
+    # A pattern taller than the host never embeds, so it is not checked; one
+    # always fits: the bound came from a pattern with at most k <= m rows or
+    # from band hosts of at most m rows that each hold a pattern.
     checked = [p for p in dict.fromkeys(pats) if p.rows <= m]
     block = max(comb(m, p.rows) for p in checked)
     count = sum(comb(m, size) for size in range(k, m + 1))
@@ -399,6 +399,7 @@ def ex_columns(
     table = list(zip(candidates, (comb(len(s), cert_rows) for s in candidates), cov))
     del cov
     slack = cap
+    per = comb(k, cert_rows)
 
     chosen: list[tuple[int, ...]] = []
     best: list[tuple[int, ...]] = []
@@ -408,7 +409,7 @@ def ex_columns(
         depth = len(chosen)
         if depth > len(best):
             best = chosen.copy()
-        if depth + slack <= len(best):
+        if depth + slack // per <= len(best):
             return
         for sel, size, cov in table:
             hit = state & cov

@@ -197,15 +197,46 @@ class TestCompute:
         assert witness.weight == doc["value"]
         assert avoids_all(witness, parse_pattern_set(open(diamond_file).read()))
 
-    def test_unknown_bound_exit_code(self, capsys, tmp_path):
-        # 1/0 and 0/1 together: every one has a row above or below it
+    def test_no_avoiding_band_host_answers_zero(self, capsys, tmp_path):
+        # 1/0 and 0/1 together: every one has a row above or below it, so no
+        # band host avoids them and the band-host cap is 0 columns
         odd = tmp_path / "odd.txt"
         odd.write_text("1\n0\n\n0\n1\n")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "compute", "columns", "--m", "3", "--k", "1", "--pattern", str(odd)
         )
-        assert code == 3
-        assert "certificate" in err
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["value"] == 0 and doc["exact"] is True
+
+    def test_incomplete_band_test_is_input_error(self, capsys, tmp_path):
+        # the top and bottom band hosts of 363 rows hold a one with 199 rows
+        # below it or one with 199 rows above it; ones on rows 170 and 180
+        # avoid both, but C(363, 2) bands are too many to test
+        path = tmp_path / "far.txt"
+        path.write_text("1\n" + "0\n" * 199 + "\n" + "0\n" * 199 + "1\n")
+        code, out, err = run_cli(
+            capsys, "compute", "columns", "--m", "363", "--k", "2", "--pattern", str(path)
+        )
+        assert code == 2 and out == ""
+        assert "band" in err
+
+    def test_zero_pattern_rows_stay_within_budget(self, capsys, tmp_path):
+        # 14 zero rows above a one: the weight seeds and the band hosts run
+        # containment searches that once retried every zero row on every
+        # later host row and ran past a minute, whatever the budget
+        path = tmp_path / "tall.txt"
+        path.write_text("0\n" * 14 + "1\n")
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "30", "--n", "1",
+            "--pattern", str(path), "--budget", "10",
+        )
+        assert code == 3 and json.loads(out)["exact"] is False
+        code, out, _ = run_cli(
+            capsys, "compute", "columns", "--m", "30", "--k", "2",
+            "--pattern", str(path), "--budget", "10",
+        )
+        assert code == 0 and json.loads(out)["value"] == "unbounded"
 
     def test_unbounded_through_a_split_band(self, capsys, tmp_path):
         # ones on rows 1 and 4 of any number of columns avoid 0/1/0
@@ -420,9 +451,19 @@ def test_compute_never_raises(tmp_path):
             path = tmp_path / f"pattern{i}.txt"
             path.write_text(text)
             argv = argv + ["--pattern", str(path)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 3)
+        if code == 3:
+            # exit 3 means only a spent budget: a result with a cut row
+            assert err.getvalue() == ""
+            text = out.getvalue()
+            if text.startswith("{"):
+                doc = json.loads(text)
+                assert any(not r["exact"] for r in doc.get("results", [doc]))
+            else:
+                assert "False" in [line.split(",")[2] for line in text.splitlines()[1:]]
 
     check()
 

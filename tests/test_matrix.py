@@ -122,6 +122,14 @@ class TestContains:
         tall = Matrix01.filled(1200, 1)
         assert contains(tall, tall)
 
+    def test_zero_rows_are_not_retried(self):
+        # 19 zero rows above a one: placing each zero row again on every
+        # later host row on backtrack took time exponential in their number
+        pat = Matrix01(20, 1, (0,) * 19 + (1,))
+        assert not contains(Matrix01.zeros(40, 1), pat)
+        assert not contains(Matrix01.from_ones(40, 1, [(18, 0)]), pat)
+        assert contains(Matrix01.from_ones(40, 1, [(19, 0)]), pat)
+
 
 def brute_embeddings(host, pat):
     """Every (row selection, column selection) pair that maps pat into host."""

@@ -13,7 +13,6 @@ from exmat import (
     OracleSizeError,
     PatternSet,
     SizeLimitError,
-    UnknownBoundError,
     avoids_all,
     check_column_bound_from_linear_weight,
     check_monotonicity,
@@ -246,13 +245,24 @@ class TestExColumns:
         res = ex_columns(3, 2, PatternSet.of(pat))
         assert res.unbounded and res.witness is None and res.exact
 
-    def test_unknown_bound_guard(self):
+    def test_band_hosts_bound_the_value_when_none_avoids(self):
         # a one with a row below it, and a one with a row above it: one
-        # all-ones row of three holds one of them wherever it lies, and no
-        # pattern has at most k rows, so the search must refuse
+        # all-ones row of three holds one of them wherever it lies, so no
+        # band host avoids them and each row is in at most w-1 = 0 columns
         pats = PatternSet.of(Matrix01.from_rows([[1], [0]]), Matrix01.from_rows([[0], [1]]))
-        with pytest.raises(UnknownBoundError):
-            ex_columns(3, 1, pats)
+        res = ex_columns(3, 1, pats)
+        assert res.exact and res.value == 0 and res.witness.cols == 0
+
+    def test_incomplete_band_test_is_refused(self):
+        # a one with 199 rows below it, and a one with 199 rows above it: the
+        # top and the bottom band hosts of 363 rows hold them, but ones on
+        # rows 170 and 180 avoid both, so the query is unbounded; with
+        # C(363, 2) bands too many to test, it must be refused, not bounded
+        top = Matrix01(200, 1, (1,) + (0,) * 199)
+        pats = PatternSet.of(top, flip_v(top))
+        assert avoids_all(Matrix01.from_ones(363, 1, [(170, 0), (180, 0)]), pats)
+        with pytest.raises(SizeLimitError, match="band"):
+            ex_columns(363, 2, pats)
 
     def test_unbounded_through_a_split_band(self):
         # a one in the middle row of three: the hosts of all-ones top rows
@@ -285,12 +295,12 @@ class TestExColumns:
                 pats.append(Matrix01(rows, cols, bits))
             pats = PatternSet(tuple(pats))
             cap = (max(p.cols for p in pats) - 1) * sum(comb(m, j) for j in range(k, m + 1))
-            unbounded = brute_ex_columns(m, k, pats, cap + 1) > cap
-            try:
-                assert ex_columns(m, k, pats).unbounded == unbounded
-            except UnknownBoundError:
-                assert not unbounded
-            seen[unbounded] += 1
+            brute = brute_ex_columns(m, k, pats, cap + 1)
+            res = ex_columns(m, k, pats)
+            assert res.exact and res.unbounded == (brute > cap)
+            if not res.unbounded:
+                assert res.value == brute
+            seen[brute > cap] += 1
         assert min(seen.values()) >= 10
 
     def test_unbounded_decision_matches_uncut_band_hosts(self):
@@ -318,10 +328,7 @@ class TestExColumns:
                         for p in pats)
                 for band in combinations(range(m), k)
             )
-            try:
-                assert ex_columns(m, k, PatternSet(tuple(pats))).unbounded == unbounded
-            except UnknownBoundError:
-                assert not unbounded
+            assert ex_columns(m, k, PatternSet(tuple(pats))).unbounded == unbounded
             seen[unbounded] += 1
         assert min(seen.values()) >= 10
 
@@ -346,7 +353,8 @@ class TestExColumns:
     def test_seeded_differential_against_unpruned_reference(self):
         # one or two random patterns up to 3x3, each with a one in every
         # column, at m <= 4 and every k with a finite value; max_cols is the
-        # pigeonhole cap, which bounds the true value
+        # pigeonhole cap or, with no pattern of at most k rows, the band-host
+        # cap (w-1)*C(m, k), either of which bounds the true value
         rng = random.Random(4)
         cases = 0
         for _ in range(40):
@@ -362,13 +370,11 @@ class TestExColumns:
             pats = PatternSet(tuple(pats))
             for m in range(1, 5):
                 for k in range(1, m + 1):
-                    try:
-                        res = ex_columns(m, k, pats)
-                    except UnknownBoundError:
-                        continue
+                    res = ex_columns(m, k, pats)
                     if res.unbounded:
                         continue
-                    cap = min((p.cols - 1) * comb(m, p.rows) for p in pats if p.rows <= k)
+                    caps = [(p.cols - 1) * comb(m, p.rows) for p in pats if p.rows <= k]
+                    cap = min(caps, default=(max(p.cols for p in pats) - 1) * comb(m, k))
                     assert res.exact
                     assert res.value == brute_ex_columns(m, k, pats, cap)
                     assert res.witness.cols == res.value
@@ -476,6 +482,9 @@ PINNED = [
      (8, 114995, True, "00011111\n00100010\n10011000\n01100001\n11000100")),
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), T10_01_10, *B101_011), {"shuffle_seed": 2}),
      (11, 15543, True, "00000011111\n00110011000\n01111000100\n11001100010\n10000100001")),
+    # a 1-row certificate at k = 2: each column fills at least C(2, 1) slots
+    ("columns", (4, 2, PatternSet.of(pattern_P(1, 5)), {}),
+     (8, 49, True, "11110000\n11110000\n00001111\n00001111")),
 ]
 
 
@@ -556,7 +565,7 @@ class TestInequalityReports:
                 continue
             try:
                 rep = check_range_overlap_inequality(m, 3, 3, rng.randint(1, 3))
-            except (ValueError, UnknownBoundError):
+            except ValueError:
                 continue
             checked += 1
             assert rep.holds
