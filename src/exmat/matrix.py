@@ -137,10 +137,7 @@ class Matrix01:
     def to_text(self) -> str:
         if self.rows == 0 or self.cols == 0:
             raise ValueError("empty matrix has no text form")
-        return "\n".join(
-            "".join("1" if (bits >> j) & 1 else "0" for j in range(self.cols))
-            for bits in self.row_bits
-        )
+        return "\n".join(format(bits, f"0{self.cols}b")[::-1] for bits in self.row_bits)
 
     def __str__(self):  # pragma: no cover - debugging aid
         return self.to_text() if self.rows and self.cols else f"<empty {self.rows}x{self.cols}>"
@@ -325,7 +322,7 @@ def parse_matrix(text: str) -> Matrix01:
             raise ValueError("rows have unequal length")
         if set(ln) - {"0", "1"}:
             raise ValueError(f"invalid characters in row {ln!r}")
-    return Matrix01.from_rows([[int(ch) for ch in ln] for ln in lines])
+    return Matrix01(len(lines), width, tuple(int(ln[::-1], 2) for ln in lines))
 
 
 def parse_pattern_set(text: str) -> PatternSet:

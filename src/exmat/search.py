@@ -5,15 +5,14 @@ avoiding every pattern in S; ex_columns(m, k, S) is the maximum number of
 columns of an m-row matrix with at least k ones per column avoiding S.  Both
 are branch and bound that test only the containment an extension can create,
 and neither runs a containment search once its boundary cases and seeds are
-settled.  Every checked pattern is an automaton whose state records, per
-subset of host positions, how many pattern lines the greedy match has placed.
-ex_columns appends a column, the sorted tuple of its rows, at a time: the
-automaton runs over row subsets.  ex_weight sets a cell at a time in
-row-major order: the automaton runs over column subsets and advances once
-per finished row, and a cell set to 1 is tested against the zeros of its
-row.
-What a candidate covers is one bitmask per query, so testing it takes a few
-ANDs.
+settled.  Every checked pattern is an automaton, built by _automaton, whose
+state records, per subset of host lines, how many pattern lines the greedy
+match has placed.  ex_columns appends a column, the sorted tuple of its
+rows, at a time: the automaton runs over row subsets.  ex_weight sets a cell
+at a time in row-major order: the automaton runs over column subsets and
+advances once per finished row, and a cell set to 1 is tested against the
+zeros of its row.  What a candidate covers is one bitmask per query, so
+testing it takes a few ANDs.
 
 Boundary semantics for ex_columns, one finiteness rule:
   * k > m: the value is 0 (no column can hold k ones).
@@ -29,12 +28,10 @@ Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
 bound.  Both searches run on one explicit-stack driver, so their depth is
 limited by memory, not by Python's recursion limit.  A column query with
-more than COLUMN_CANDIDATE_LIMIT candidates and slots, or whose candidates
-times table bits (the largest checked row subset count per checked pattern
-column) pass MATRIX_CELL_LIMIT, and a weight query beyond that limit, or
-whose n columns times table bits (the largest checked column subset count
-per checked pattern row) pass it, is refused with SizeLimitError before
-anything is built.
+more than COLUMN_CANDIDATE_LIMIT candidates and slots is refused with
+SizeLimitError, and so is any query whose table, times the masks as wide as
+it that the search keeps (its candidates or its n columns), passes
+MATRIX_CELL_LIMIT; _automaton applies that rule before it builds anything.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from .matrix import (
     Matrix01,
     PatternSet,
     SizeLimitError,
-    _transpose,
     avoids_all,
     check_cells,
     contains_oracle,
@@ -69,7 +65,9 @@ ORACLE_CELL_LIMIT = 16
 ORACLE_CACHE_SIZE = 128
 
 # ex_columns refuses queries whose candidate columns plus support slots
-# exceed this count; m = 15 at k = 2 still fits.
+# exceed this count; m = 15 at k = 2 still fits.  The slots bound the
+# certificate's C(m, cert_rows) row subsets when k = m: the table rule then
+# counts one candidate mask, but the table also has m per-row masks.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
 
 
@@ -121,12 +119,6 @@ class ExtremalResult:
         return self.value == UNBOUNDED
 
 
-def _canonical_seeds(m: int, n: int) -> list[Matrix01]:
-    single_col = Matrix01(m, n, (1,) * m)
-    single_row = Matrix01(m, n, ((1 << n) - 1,) + (0,) * (m - 1))
-    return [Matrix01.zeros(m, n), single_col, single_row]
-
-
 def _binomial_past(n: int, k: int, cap: int) -> int:
     """C(n, k), or some number above cap when C(n, k) is: the product stops
     once a C(n, j) on the way passes cap, so no huge binomial is built."""
@@ -143,18 +135,18 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
 
     Cells are decided in row-major order, trying 1 before 0; a branch dies
     as soon as its partial matrix contains a pattern or cannot beat the
-    incumbent.  The incumbent starts from the best avoiding matrix among
-    the zero matrix, a single all-ones column and a single all-ones row, so
-    any result, exact or budget-cut, is at least that seed's weight.
+    incumbent.  The incumbent starts from the zero matrix, or the better of
+    a single all-ones column and a single all-ones row that avoids, so any
+    result, exact or budget-cut, is at least that seed's weight.
 
-    Containment is the append-a-column automaton of the transposed
-    patterns, so its columns are pattern rows and its subsets are column
-    subsets of the host.  states[r] is the automaton after rows 0..r-1.
-    A pattern's z trailing zero rows get no level, since a zero host row is
-    never tested; its last nonzero row counts in last[r] only while r + z
-    <= m-1.  Every later cell of the current row is still 0, so setting
-    (r, c) completes a pattern iff a subset at its last level lacks none of
-    its row's columns among the row's zeros and the columns after c.
+    Containment is the automaton over the host columns: its levels are
+    pattern rows and its subsets are column subsets.  states[r] is the
+    automaton after rows 0..r-1.  A pattern's z trailing zero rows get no
+    level, since a zero host row is never tested; its last nonzero row
+    counts in last[r] only while r + z <= m-1.  Every later cell of the
+    current row is still 0, so setting (r, c) completes a pattern iff a
+    subset at its last level lacks none of its row's columns among the
+    row's zeros and the columns after c.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -170,23 +162,14 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
             height = max(a for a, bits in enumerate(p.row_bits) if bits) + 1
             checked.append(Matrix01(height, p.cols, p.row_bits[:height]))
             tails.append(p.rows - height)
-    cap = MATRIX_CELL_LIMIT // n
-    block = max((_binomial_past(n, p.cols, cap) for p in checked), default=0)
-    bits = block * sum(p.rows for p in checked)
-    if n * bits > MATRIX_CELL_LIMIT:
-        raise SizeLimitError(
-            f"m={m}, n={n}: {n} columns x {bits if block <= cap else f'over {cap}'} "
-            f"table bits exceed the {MATRIX_CELL_LIMIT}-cell limit"
-        )
-    best_m = Matrix01.zeros(m, n)
-    best_w = 0
-    for seed in _canonical_seeds(m, n):
+    block, state, ends, lacks = _automaton(n, checked, n, f"m={m}, n={n}: {n} columns")
+    best_m, best_w = Matrix01.zeros(m, n), 0
+    single_col = Matrix01(m, n, (1,) * m)
+    single_row = Matrix01(m, n, ((1 << n) - 1,) + (0,) * (m - 1))
+    for seed in (single_col, single_row):
         if seed.weight > best_w and avoids_all(seed, patterns):
             best_m, best_w = seed, seed.weight
 
-    state, ends, needs = _automaton(n, [transpose(p) for p in checked], block)
-    lacks = _transpose(needs, n)
-    del needs
     beyond = list(accumulate(lacks[:0:-1], or_, initial=0))[::-1]
     last = [sum(e for e, z in zip(ends, tails) if r + z < m) for r in range(m)]
     # A last level is met only in the last z rows, with no room left for the
@@ -308,35 +291,59 @@ def _band_hosts(m: int, k: int, pats):
         )
 
 
-def _cover_masks(m: int, needs, candidates) -> list[int]:
-    """Per candidate, the mask of the bits i for which it holds every row in
-    needs[i], that is lacks none of them; holds[r] marks the bits needing r."""
-    holds = _transpose(needs, m)
-    every = (1 << len(needs)) - 1
-    lacked = (reduce(or_, (holds[r] for r in range(m) if r not in sel), 0) for sel in candidates)
-    return [every & ~mask for mask in lacked]
+def _cover_masks(holds, candidates) -> list[int]:
+    """Per candidate, the bits whose subset needs no line the candidate
+    lacks: the complement of the OR of holds[r] over those lines r."""
+    return [~reduce(or_, (h for r, h in enumerate(holds) if r not in sel), 0) for sel in candidates]
 
 
-def _automaton(m: int, patterns, block: int) -> tuple[int, list[int], list[int]]:
-    """(state, ends, needs) of the append-a-column automaton of the patterns.
+def _automaton(lines: int, patterns, masks: int, query: str) -> tuple[int, int, list[int], list[int]]:
+    """(block, state, ends, holds) of the append-a-line automaton of the
+    patterns over `lines` host lines.
 
-    Pattern column j owns `block` bits of `state`, the first C(m, rows) for
-    the row subsets on which the greedy match (exact, by the exchange
-    argument of contains) has placed j columns.  needs[i] is the mask of the
-    host rows that bit i's subset needs for its column, and ends[p] marks
-    pattern p's last block.  A column holding needs[i] for a set bit i of
-    `state` completes a pattern if i is in an end block; otherwise bit i
-    moves up one block."""
-    needs, state, ends = [], 0, []
+    A pattern's rows are its levels, run over the subsets of host lines as
+    large as its width.  Level j owns `block` bits of `state`, the first
+    C(lines, cols) for the subsets on which the greedy match (exact, by the
+    exchange argument of contains) has placed j levels.  ends[p] marks
+    pattern p's last block and holds[r] the bits whose subset needs host
+    line r for its level.  A new host line lacking none of the lines a set
+    bit needs completes a pattern if the bit is in an end block, and
+    otherwise moves it up one block.
+
+    The caller keeps `masks` masks as wide as the table, so masks x table
+    bits past MATRIX_CELL_LIMIT is refused with SizeLimitError, `query`
+    naming the masks, before any table or binomial past the limit is built;
+    a block past MATRIX_CELL_LIMIT // lines is reported as that bound.
+    """
+    block = max((_binomial_past(lines, p.cols, MATRIX_CELL_LIMIT) for p in patterns), default=0)
+    bits = block * sum(p.rows for p in patterns)
+    if masks * bits > MATRIX_CELL_LIMIT:
+        cap = MATRIX_CELL_LIMIT // lines
+        raise SizeLimitError(
+            f"{query} x {bits if block <= cap else f'over {cap}'} "
+            f"table bits exceed the {MATRIX_CELL_LIMIT}-cell limit"
+        )
+    # `stride` bytes per host line; a subset comes as its lines' offsets.
+    stride = (bits + 7) // 8
+    grid = bytearray(lines * stride)
+    state, ends, base = 0, [], 0
     for p in patterns:
-        subsets = list(combinations(range(m), p.rows))
-        every = (1 << len(subsets)) - 1
-        state |= every << len(needs)
-        for col in p.columns():
-            needs += [sum(1 << t[a] for a in range(p.rows) if col >> a & 1) for t in subsets]
-            needs += [0] * (block - len(subsets))
-        ends.append(every << len(needs) - block)
-    return state, ends, needs
+        text = [format(row, f"0{p.cols}b")[::-1] for row in p.row_bits]
+        levels = [[a for a, one in enumerate(row) if one == "1"] for row in text]
+        for i, offsets in enumerate(combinations(range(0, lines * stride, stride), p.cols)):
+            for j, level in enumerate(levels):
+                at = base + j * block + i
+                byte, bit = at >> 3, 1 << (at & 7)
+                for a in level:
+                    grid[offsets[a] + byte] |= bit
+        every = (1 << comb(lines, p.cols)) - 1
+        state |= every << base
+        base += p.rows * block
+        ends.append(every << base - block)
+    if not stride:
+        return block, state, ends, [0] * lines
+    holds = [int.from_bytes(grid[r:r + stride], "little") for r in range(0, len(grid), stride)]
+    return block, state, ends, holds
 
 
 def ex_columns(
@@ -378,24 +385,17 @@ def ex_columns(
         )
     # A pattern taller than the host never embeds, so it is not checked; one
     # always fits: the bound came from a pattern with at most k <= m rows or
-    # from band hosts of at most m rows that each hold a pattern.
-    checked = [p for p in dict.fromkeys(pats) if p.rows <= m]
-    block = max(comb(m, p.rows) for p in checked)
+    # from band hosts of at most m rows that each hold a pattern.  Transposed,
+    # a pattern's columns are the automaton's levels.
+    checked = [transpose(p) for p in dict.fromkeys(pats) if p.rows <= m]
     count = sum(comb(m, size) for size in range(k, m + 1))
-    bits = block * sum(p.cols for p in checked)
-    if count * bits > MATRIX_CELL_LIMIT:
-        raise SizeLimitError(
-            f"m={m}, k={k}: {count} candidate columns x {bits} table bits "
-            f"exceed the {MATRIX_CELL_LIMIT}-cell limit"
-        )
+    block, state, ends, holds = _automaton(m, checked, count, f"m={m}, k={k}: {count} candidate columns")
     candidates = sorted(sel for size in range(k, m + 1) for sel in combinations(range(m), size))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(candidates)
 
-    state, ends, needs = _automaton(m, checked, block)
     last = sum(ends)
-    cov = _cover_masks(m, needs, candidates)
-    del needs
+    cov = _cover_masks(holds, candidates)
     table = list(zip(candidates, (comb(len(s), cert_rows) for s in candidates), cov))
     del cov
     slack = cap

@@ -716,10 +716,7 @@ HUGE_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,message", HUGE_ARGUMENTS, ids=[f"argv{i}" for i in range(len(HUGE_ARGUMENTS))]
-)
-def test_huge_integer_arguments_are_refused_at_once(argv, message, tmp_path):
+def run_capped(argv, tmp_path):
     # The child runs with a 400 MiB address space and a 5 s timeout, so an
     # oversized build fails the test instead of exhausting the machine.  A
     # compute command gives its pattern's text after --pattern, P22 if none.
@@ -730,9 +727,35 @@ def test_huge_integer_arguments_are_refused_at_once(argv, message, tmp_path):
         path = tmp_path / "pattern.txt"
         path.write_text(argv[at])
         argv = argv[:at] + [str(path)] + argv[at + 1:]
-    proc = run_python("-m", "exmat", *argv, timeout=5, preexec_fn=_cap_address_space)
+    return run_python("-m", "exmat", *argv, timeout=5, preexec_fn=_cap_address_space)
+
+
+@pytest.mark.parametrize(
+    "argv,message", HUGE_ARGUMENTS, ids=[f"argv{i}" for i in range(len(HUGE_ARGUMENTS))]
+)
+def test_huge_integer_arguments_are_refused_at_once(argv, message, tmp_path):
+    proc = run_capped(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert message in proc.stderr and proc.stdout == ""
+
+
+WIDE_ANSWERS = [
+    # a row of 2^20 cells printed, and one parsed, in linear time
+    (["generate", "P", "--r", "1", "--c", str(1 << 20)], 0),
+    (["compute", "weight", "--m", "1", "--n", "4", "--pattern", "10" * (1 << 19) + "\n"], 0),
+    # the 20-row table is built in one pass over its C(20, 9) subsets
+    (["compute", "columns", "--m", "20", "--k", "20", "--budget", "1",
+      "--pattern", "11\n" * 20 + "\n" + "11\n" * 9], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", WIDE_ANSWERS, ids=[f"argv{i}" for i in range(len(WIDE_ANSWERS))]
+)
+def test_wide_inputs_are_answered_at_once(argv, code, tmp_path):
+    proc = run_capped(argv, tmp_path)
+    assert proc.returncode == code, proc.stderr[-500:]
+    assert proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -163,9 +163,9 @@ class TestBruteForceDifferentials:
         pats = [p for p in pats if p.rows <= hm]
         assume(pats)
         columns = [tuple(r for r in range(hm) if bits >> r & 1) for bits in host.columns()]
-        block = max(comb(hm, p.rows) for p in pats)
-        state, ends, needs = _automaton(hm, pats, block)
-        last, cov = sum(ends), _cover_masks(hm, needs, columns)
+        block, state, ends, holds = _automaton(hm, [transpose(p) for p in pats], len(columns), "")
+        assert block == max(comb(hm, p.rows) for p in pats)
+        last, cov = sum(ends), _cover_masks(holds, columns)
         for n in range(1, host.cols + 1):
             prefix = Matrix01(hm, n, tuple(bits & ((1 << n) - 1) for bits in host.row_bits))
             expected = any(
@@ -176,6 +176,31 @@ class TestBruteForceDifferentials:
             if expected:
                 break
             state = state ^ hit | hit << block
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6), st.lists(small_patterns(), min_size=1, max_size=3))
+    def test_automaton_holds_match_definition(self, lines, pats):
+        # holds[r] has bit base + j*block + i iff the i-th subset (in
+        # combinations order) of the pattern's width holds line r at a
+        # position where level j has a one; state and ends mark a pattern's
+        # first and last level blocks over its C(lines, cols) subsets
+        pats = [p for p in pats if p.cols <= lines]
+        assume(pats)
+        block, state, ends, holds = _automaton(lines, pats, 1, "")
+        want, first, last, base = [0] * lines, 0, [], 0
+        for p in pats:
+            subsets = list(combinations(range(lines), p.cols))
+            for j, row in enumerate(p.row_bits):
+                for i, t in enumerate(subsets):
+                    for a in range(p.cols):
+                        if row >> a & 1:
+                            want[t[a]] |= 1 << base + j * block + i
+            every = (1 << len(subsets)) - 1
+            first |= every << base
+            last.append(every << base + (p.rows - 1) * block)
+            base += p.rows * block
+        assert block == max(comb(lines, p.cols) for p in pats)
+        assert (holds, state, ends) == (want, first, last)
 
 
 class TestAvoidsAll:
