@@ -11,6 +11,7 @@ permutation block in the bottom middle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations
 
 from .matrix import Matrix01, PatternSet, SizeLimitError, check_cells
@@ -61,6 +62,7 @@ class TrsParams:
         return self.r + 2 * self.s + 2
 
 
+@cache
 def generate_T(params: TrsParams) -> PatternSet:
     """All members of the T family for the given (r, s), in a fixed order.
 
@@ -69,6 +71,9 @@ def generate_T(params: TrsParams) -> PatternSet:
     output files and fixtures are reproducible.  For r = 0 the top row is
     entirely zero and there is no middle block; the family is emitted
     literally anyway (one member per left/right pair).
+
+    Families are cached: the result is frozen, and a refused (r, s) raises,
+    so only the finitely many families within the limit are kept.
     """
     r, s = params.r, params.s
     size = 1

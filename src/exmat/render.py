@@ -2,7 +2,9 @@
 
 Bars are horizontal rectangles ordered by y_rank (smallest rank on top);
 witness segments are vertical lines spanning their edge's member bars.
-The same layout and edges always produce byte-identical output.
+The same layout and edges always produce byte-identical output.  Bars stay
+rational; each x coordinate is the float of its exact offset from the
+leftmost endpoint, one correctly rounded int division, then scaled.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ def _fmt(v) -> str:
     return f"{float(v):.3f}"
 
 
+def _offset(x: Fraction, x0: Fraction) -> float:
+    """float(x - x0) as one int true division, which rounds correctly, so no
+    Fraction is built."""
+    p, q, p0, q0 = x.numerator, x.denominator, x0.numerator, x0.denominator
+    return (p * q0 - p0 * q) / (q * q0)
+
+
 def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses: bool = True) -> str:
     bars = layout.bars
     if not bars:
@@ -39,7 +48,7 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses:
         raise ValueError("the layout's x-span is too wide for float SVG coordinates")
 
     def sx(x: Fraction) -> float:
-        return _MARGIN + float(x - x_min) * _X_SCALE
+        return _MARGIN + _offset(x, x_min) * _X_SCALE
 
     def sy(rank: int) -> float:
         return _MARGIN + row_of_rank[rank] * _ROW_GAP
@@ -63,7 +72,7 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses:
     for b in bars:
         out.append(
             f'<rect x="{_fmt(sx(b.x_left))}" y="{_fmt(sy(b.y_rank))}" '
-            f'width="{_fmt(float(b.x_right - b.x_left) * _X_SCALE)}" height="{_BAR_HEIGHT}" '
+            f'width="{_fmt(_offset(b.x_right, b.x_left) * _X_SCALE)}" height="{_BAR_HEIGHT}" '
             'fill="#305090" stroke="#102040" stroke-width="1"/>'
         )
     out.append("</svg>")

@@ -19,9 +19,13 @@ and last s+1 ones of every row and then the bottom r ones of every column
 (a column with at most r surviving ones is emptied); each surviving row
 becomes a bar spanning its first to last remaining one;
 each surviving one with s+1 ones below it in its column anchors a vertical
-witness segment through the next s+1 bars covering that column.  Geometry
-uses Fractions throughout; a per-row rational nudge of the bar ends keeps
-all endpoints distinct without changing which columns a bar covers.
+witness segment through the next s+1 bars covering that column.  A
+per-row rational nudge of the bar ends keeps all endpoints distinct without
+changing which columns a bar covers.
+
+Bars stay exact rationals (Fractions) and every witness is a Fraction.  The
+sweep orders its endpoints by integer floor first and compares two Fractions
+only when their floors are equal; the oracle compares Fractions throughout.
 """
 
 from __future__ import annotations
@@ -108,35 +112,33 @@ def sweep_edges(layout: BarLayout) -> list[VisEdge]:
     """All distinct edges via the endpoint sweep, in first-seen order."""
     size = layout.s + 2
     bars = layout.bars
+    # Endpoints are distinct, so (floor, x) orders them as x does, and two
+    # Fractions are compared only when their floors are equal.
     events = sorted(
-        [(b.x_left, 0, i) for i, b in enumerate(bars)]
-        + [(b.x_right, 1, i) for i, b in enumerate(bars)]
+        (x.numerator // x.denominator, x, kind, i)
+        for i, b in enumerate(bars) for kind, x in ((0, b.x_left), (1, b.x_right))
     )
-    active: list[tuple[int, int]] = []  # (y_rank, bar index), sorted by height
-    seen: dict[frozenset, list[Fraction]] = {}
+    heights: list[int] = []  # y_rank of the active bars, ascending
+    active: list[int] = []  # their bar indices, in the same order
+    # Heights are distinct, so a window's indices in height order name its edge.
+    seen: dict[tuple[int, ...], list[Fraction]] = {}
 
-    def record(window, x):
-        key = frozenset(idx for _, idx in window)
-        seen.setdefault(key, []).append(x)
-
-    for ei, (x, kind, bi) in enumerate(events):
-        entry = (bars[bi].y_rank, bi)
+    for ei, (_, x, kind, bi) in enumerate(events):
+        y = bars[bi].y_rank
+        pos = bisect_left(heights, y)
         if kind == 0:
-            pos = bisect_left(active, entry)
-            active.insert(pos, entry)
-            lo = max(0, pos - (size - 1))
-            hi = min(pos, len(active) - size)
-            for i in range(lo, hi + 1):
-                record(active[i : i + size], x)
+            heights.insert(pos, y)
+            active.insert(pos, bi)
+            windows = range(max(0, pos - size + 1), min(pos, len(active) - size) + 1)
         else:
-            pos = bisect_left(active, entry)
-            active.pop(pos)
-            lo = max(0, pos - (size - 1))
-            hi = min(pos - 1, len(active) - size)
-            if lo <= hi and ei + 1 < len(events):
-                wx = (x + events[ei + 1][0]) / 2
-                for i in range(lo, hi + 1):
-                    record(active[i : i + size], wx)
+            del heights[pos], active[pos]
+            windows = range(max(0, pos - size + 1), min(pos - 1, len(active) - size) + 1)
+            if not windows:
+                continue
+            # a window's bars all end later, so a next event exists
+            x = (x + events[ei + 1][1]) / 2
+        for i in windows:
+            seen.setdefault(tuple(active[i : i + size]), []).append(x)
     return [
         VisEdge(tuple(sorted(key)), tuple(wit)) for key, wit in seen.items()
     ]
@@ -160,14 +162,15 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
     seen: dict[frozenset, list[Fraction]] = {}
     prev: set[frozenset] = set()
     for x in mids:
+        covers = [b.covers(x) for b in bars]
         current: set[frozenset] = set()
         for combo in combinations(range(n), size):
-            if not all(bars[i].covers(x) for i in combo):
+            if not all(covers[i] for i in combo):
                 continue
             ys = [bars[i].y_rank for i in combo]
             lo, hi = min(ys), max(ys)
             blocked = any(
-                lo < bars[j].y_rank < hi and bars[j].covers(x)
+                lo < bars[j].y_rank < hi and covers[j]
                 for j in range(n)
                 if j not in combo
             )

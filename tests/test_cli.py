@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -719,7 +721,12 @@ HUGE_ARGUMENTS = [
 def run_capped(argv, tmp_path):
     # The child runs with a 400 MiB address space and a 5 s timeout, so an
     # oversized build fails the test instead of exhausting the machine.  A
-    # compute command gives its pattern's text after --pattern, P22 if none.
+    # compute command gives its pattern's text after --pattern, P22 if none;
+    # a render command gives its layout's text in place of the file.
+    if argv[0] == "render":
+        path = tmp_path / "layout.txt"
+        path.write_text(argv[1])
+        argv = ["render", str(path), *argv[2:]]
     if argv[0] == "compute":
         if "--pattern" not in argv:
             argv = argv + ["--pattern", "11\n11\n"]
@@ -756,6 +763,27 @@ def test_wide_inputs_are_answered_at_once(argv, code, tmp_path):
     proc = run_capped(argv, tmp_path)
     assert proc.returncode == code, proc.stderr[-500:]
     assert proc.stdout
+
+
+def test_layout_with_distinct_denominators_renders_at_once(tmp_path):
+    # 8,000 bars whose 16,000 endpoints have pairwise distinct denominators
+    # in [10^6, 2*10^6): a common denominator of the whole layout would take
+    # time and memory quadratic in the input
+    rng = random.Random(18)
+    n = 8000
+    ends = []
+    for q in rng.sample(range(10**6, 2 * 10**6), 2 * n):
+        p = rng.randrange(1, q)
+        while gcd(p, q) != 1:
+            p = rng.randrange(1, q)
+        ends.append(Fraction(rng.randrange(4 * n) * q + p, q))
+    ys = rng.sample(range(3 * n), n)
+    text = "\n".join(
+        f"{y} {min(ends[2 * i : 2 * i + 2])} {max(ends[2 * i : 2 * i + 2])}" for i, y in enumerate(ys)
+    )
+    proc = run_capped(["render", text, "--s", "1"], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.startswith("<svg") and proc.stdout.count("<rect") == n
 
 
 @pytest.mark.parametrize(

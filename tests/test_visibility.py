@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from exmat import (
     witness_is_exact,
 )
 from exmat.patterns import TrsParams, generate_T
+from exmat.render import _MARGIN, _X_SCALE, _fmt, layout_svg
 from exmat.verify import greedy_avoider, random_avoider, random_layout
 
 from conftest import matrices
@@ -33,6 +35,21 @@ STACK = (Bar(1, 0, 11), Bar(2, 1, 10), Bar(3, 2, 9))
 
 def edge_map(edges):
     return {e.members: e.multiplicity for e in edges}
+
+
+def fractional_layout(rng, n, s, base=0, denominators=(1, 2, 3, 4, 5, 7, 12)):
+    """n bars with 2n distinct endpoints base + k + p/q, k in -3..2, so
+    endpoints share floors and carry mixed denominators."""
+    ends = set()
+    while len(ends) < 2 * n:
+        q = rng.choice(denominators)
+        ends.add(base + rng.randint(-3, 2) + Fraction(rng.randrange(q), q))
+    ends = list(ends)
+    rng.shuffle(ends)
+    ys = rng.sample(range(-n, 2 * n), n)
+    return BarLayout(
+        tuple(Bar(y, *sorted(ends[2 * i : 2 * i + 2])) for i, y in enumerate(ys)), s
+    )
 
 
 def reference_reduction(matrix, r, s):
@@ -116,6 +133,23 @@ class TestSweep:
             lay = random_layout(rng, n, s)
             assert edge_map(sweep_edges(lay)) == edge_map(sweep_edges_oracle(lay))
 
+    def test_matches_oracle_on_fractional_layouts(self):
+        # endpoints with equal floors are ordered by comparing Fractions
+        rng = random.Random(20261019)
+        shared_floors = 0
+        for _ in range(200):
+            n = rng.randint(2, 10)
+            s = rng.randint(0, 3)
+            lay = fractional_layout(rng, n, s)
+            ends = [b.x_left for b in lay.bars] + [b.x_right for b in lay.bars]
+            shared_floors += len(ends) - len({x.numerator // x.denominator for x in ends})
+            edges = sweep_edges(lay)
+            assert edge_map(edges) == edge_map(sweep_edges_oracle(lay))
+            for e in edges:
+                for w in e.witnesses:
+                    assert witness_is_exact(lay, e.members, w)
+        assert shared_floors > 0
+
     def test_edge_count_bound_and_witness_exactness(self):
         rng = random.Random(7)
         for _ in range(150):
@@ -139,6 +173,50 @@ class TestSweep:
                 tuple(Bar(b.y_rank, -b.x_right, -b.x_left) for b in lay.bars), s
             )
             assert edge_map(sweep_edges(lay)) == edge_map(sweep_edges(mirrored))
+
+
+class TestSvgCoordinates:
+    """Every SVG x and width is the float of the exact offset, scaled."""
+
+    @staticmethod
+    def check(lay, edges):
+        x_min = min(b.x_left for b in lay.bars)
+
+        def sx(x):
+            return _fmt(_MARGIN + float(x - x_min) * _X_SCALE)
+
+        svg = layout_svg(lay, edges)
+        rects = re.findall(r'<rect x="([^"]*)" y="[^"]*" width="([^"]*)"', svg)
+        lines = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)"', svg)
+        assert rects == [
+            (sx(b.x_left), _fmt(float(b.x_right - b.x_left) * _X_SCALE)) for b in lay.bars
+        ]
+        assert lines == [(sx(w), sx(w)) for e in edges for w in e.witnesses]
+        return len(lines)
+
+    def test_fractional_layouts(self):
+        rng = random.Random(18)
+        drawn = 0
+        for base, denominators in (
+            (0, (1, 2, 3, 4, 5, 7, 12)),
+            (-(10**12), (1, 3, 7, 999_983)),
+            (10**15, tuple(range(10**6, 10**6 + 50))),
+        ):
+            for _ in range(40):
+                lay = fractional_layout(rng, rng.randint(2, 12), rng.randint(0, 2), base, denominators)
+                drawn += self.check(lay, sweep_edges(lay))
+        assert drawn
+
+    def test_matrix_layouts(self):
+        rng = random.Random(19)
+        drawn = 0
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            mat = Matrix01(n, n, tuple(rng.randrange(1 << n) for _ in range(n)))
+            lay, edges = matrix_to_visibility(mat, rng.randint(0, 2), rng.randint(0, 1))
+            if lay.bars:
+                drawn += self.check(lay, edges)
+        assert drawn
 
 
 class TestLayoutFormat:
