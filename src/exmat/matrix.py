@@ -37,15 +37,30 @@ def check_cells(rows: int, cols: int) -> None:
 
 def _transpose(masks, width: int) -> list[int]:
     """Bit i of out[j] is bit j of masks[i], for j < width: rows to columns
-    and, with width = row count, columns back to rows."""
-    out = [0] * width
-    for i, bits in enumerate(masks):
-        bit = 1 << i
-        while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] |= bit
-            bits ^= low
-    return out
+    and, with width = row count, columns back to rows.
+
+    Up to 64 x 64 each set bit is moved on its own, on ints of a word or
+    two.  Past that, moving a bit costs a word operation per 64 bits of row
+    width and of row count, so a table with wide or many rows goes through
+    one binary string per row and one per column instead: linear in its
+    cells.
+    """
+    if len(masks) <= 64 and width <= 64:
+        out = [0] * width
+        bit = 1
+        for bits in masks:
+            while bits:
+                low = bits & -bits
+                out[low.bit_length() - 1] |= bit
+                bits ^= low
+            bit <<= 1
+        return out
+    if not masks or not width:
+        return [0] * width
+    # character k of a row's string is its bit width-1-k; the last row comes
+    # first, so each column's string reads its bits from the top row down
+    rows = [format(bits, f"0{width}b") for bits in reversed(masks)]
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
 
 def _trim_bits(mask: int, low: int, high: int) -> int:

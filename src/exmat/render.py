@@ -24,13 +24,6 @@ def _fmt(v) -> str:
     return f"{float(v):.3f}"
 
 
-def _offset(x: Fraction, x0: Fraction) -> float:
-    """float(x - x0) as one int true division, which rounds correctly, so no
-    Fraction is built."""
-    p, q, p0, q0 = x.numerator, x.denominator, x0.numerator, x0.denominator
-    return (p * q0 - p0 * q) / (q * q0)
-
-
 def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses: bool = True) -> str:
     bars = layout.bars
     if not bars:
@@ -47,11 +40,16 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses:
     if (x_max - x_min) * _X_SCALE > float_info.max / 2:
         raise ValueError("the layout's x-span is too wide for float SVG coordinates")
 
-    def sx(x: Fraction) -> float:
-        return _MARGIN + _offset(x, x_min) * _X_SCALE
+    p0, q0 = x_min.numerator, x_min.denominator
 
-    def sy(rank: int) -> float:
-        return _MARGIN + row_of_rank[rank] * _ROW_GAP
+    def sx(x: Fraction) -> float:
+        # float(x - x_min) as one int true division, which rounds correctly,
+        # so no Fraction is built
+        p, q = x.numerator, x.denominator
+        return _MARGIN + (p * q0 - p0 * q) / (q * q0) * _X_SCALE
+
+    # each bar's top y, by bar index
+    ys = [_MARGIN + row_of_rank[b.y_rank] * _ROW_GAP for b in bars]
 
     width = _fmt(2 * _MARGIN + float(x_max - x_min) * _X_SCALE)
     height = _fmt(2 * _MARGIN + (len(bars) - 1) * _ROW_GAP + _BAR_HEIGHT)
@@ -61,18 +59,20 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses:
     ]
     if witnesses and edges:
         for edge in edges:
-            ys = [sy(bars[i].y_rank) for i in edge.members]
-            top, bottom = min(ys), max(ys) + _BAR_HEIGHT
+            member_ys = [ys[i] for i in edge.members]
+            top, bottom = _fmt(min(member_ys)), _fmt(max(member_ys) + _BAR_HEIGHT)
             for wx in edge.witnesses:
                 x = _fmt(sx(wx))
                 out.append(
-                    f'<line x1="{x}" y1="{_fmt(top)}" x2="{x}" y2="{_fmt(bottom)}" '
+                    f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
                     'stroke="#c03030" stroke-width="1.5"/>'
                 )
-    for b in bars:
+    for b, y in zip(bars, ys):
+        p, q = b.x_right.numerator, b.x_right.denominator
+        p1, q1 = b.x_left.numerator, b.x_left.denominator
         out.append(
-            f'<rect x="{_fmt(sx(b.x_left))}" y="{_fmt(sy(b.y_rank))}" '
-            f'width="{_fmt(_offset(b.x_right, b.x_left) * _X_SCALE)}" height="{_BAR_HEIGHT}" '
+            f'<rect x="{_fmt(sx(b.x_left))}" y="{_fmt(y)}" '
+            f'width="{_fmt((p * q1 - p1 * q) / (q * q1) * _X_SCALE)}" height="{_BAR_HEIGHT}" '
             'fill="#305090" stroke="#102040" stroke-width="1"/>'
         )
     out.append("</svg>")

@@ -51,8 +51,10 @@ class Bar:
     x_right: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x_left", Fraction(self.x_left))
-        object.__setattr__(self, "x_right", Fraction(self.x_right))
+        if type(self.x_left) is not Fraction:
+            object.__setattr__(self, "x_left", Fraction(self.x_left))
+        if type(self.x_right) is not Fraction:
+            object.__setattr__(self, "x_right", Fraction(self.x_right))
         if self.x_left >= self.x_right:
             raise LayoutError(f"bar needs x_left < x_right, got {self.x_left} >= {self.x_right}")
 
@@ -136,7 +138,9 @@ def sweep_edges(layout: BarLayout) -> list[VisEdge]:
             if not windows:
                 continue
             # a window's bars all end later, so a next event exists
-            x = (x + events[ei + 1][1]) / 2
+            nxt = events[ei + 1][1]
+            p, q, p2, q2 = x.numerator, x.denominator, nxt.numerator, nxt.denominator
+            x = Fraction(p * q2 + p2 * q, 2 * q * q2)
         for i in windows:
             seen.setdefault(tuple(active[i : i + size]), []).append(x)
     return [
@@ -151,6 +155,12 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
     Adjacent realizing gaps belong to one maximal interval (the separating
     endpoint cannot block an edge realized on both sides), so runs of gaps
     are merged and the witness count matches sweep_edges.
+
+    At each midpoint the subsets and their blockers are drawn from the bars
+    covering it only.  A subset with a bar that misses the midpoint is not
+    realized there, and a bar that misses it blocks nothing, so skipping
+    both leaves the test of every (s+2)-subset unchanged; the covering bars
+    keep index order, so the subsets run in the same order as well.
     """
     size = layout.s + 2
     bars = layout.bars
@@ -162,17 +172,13 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
     seen: dict[frozenset, list[Fraction]] = {}
     prev: set[frozenset] = set()
     for x in mids:
-        covers = [b.covers(x) for b in bars]
+        covering = [i for i, b in enumerate(bars) if b.covers(x)]
         current: set[frozenset] = set()
-        for combo in combinations(range(n), size):
-            if not all(covers[i] for i in combo):
-                continue
+        for combo in combinations(covering, size):
             ys = [bars[i].y_rank for i in combo]
             lo, hi = min(ys), max(ys)
             blocked = any(
-                lo < bars[j].y_rank < hi and covers[j]
-                for j in range(n)
-                if j not in combo
+                lo < bars[j].y_rank < hi for j in covering if j not in combo
             )
             if blocked:
                 continue
@@ -205,14 +211,20 @@ def matrix_to_visibility(
         raise ValueError("r and s must be nonnegative")
     rows = [_trim_bits(bits, s + 1, s + 1) for bits in matrix.row_bits]
     cols = [_trim_bits(bits, 0, r) for bits in _transpose(rows, matrix.cols)]
+    if not any(cols):  # no one survives trimming, so no bar
+        return BarLayout((), s), []
     rows = _transpose(cols, matrix.rows)
-    eps = Fraction(1, 2 * matrix.rows + 2)
-    bars = []
-    for i, bits in enumerate(rows):
-        if bits:
-            nudge = (i + 1) * eps
-            left, right = Fraction((bits & -bits).bit_length()), Fraction(bits.bit_length())
-            bars.append(Bar(i + 1, left - nudge, right + nudge))
+    # left - (i+1)*eps and right + (i+1)*eps, eps = 1/den, each one Fraction
+    den = 2 * matrix.rows + 2
+    bars = [
+        Bar(
+            i + 1,
+            Fraction((bits & -bits).bit_length() * den - i - 1, den),
+            Fraction(bits.bit_length() * den + i + 1, den),
+        )
+        for i, bits in enumerate(rows)
+        if bits
+    ]
     bar_index = {bar.y_rank - 1: idx for idx, bar in enumerate(bars)}
     # Per column, the rows whose bar spans it: each bar's lowest to highest bit.
     spans = [bits and (1 << bits.bit_length()) - (bits & -bits) for bits in rows]
@@ -287,7 +299,11 @@ def parse_layout(text: str, s: int) -> BarLayout:
         if not all(_COORDINATE.fullmatch(x) for x in parts[1:]):
             raise ValueError(f"bad bar line {ln!r}: coordinates are integers or p/q")
         try:
-            bars.append(Bar(int(parts[0]), Fraction(parts[1]), Fraction(parts[2])))
+            bar = [int(parts[0])]
+            for x in parts[1:]:
+                num, _, den = x.partition("/")
+                bar.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
+            bars.append(Bar(*bar))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad bar line {ln!r}: {exc}") from exc
     return BarLayout(tuple(bars), s)

@@ -113,6 +113,7 @@ def test_criterion_6_t_family():
 def test_criterion_7_kvis_multiplicity_and_weight():
     start = time.perf_counter()
     no_edges, mult, weight = claim_kvis()
+    assert no_edges.observed == {"checked": 39264, "failures": []}
     report(
         "7 multiplicity < r and (3s+3+r)n+(r-1)(2s+3)(n-r) weight bound",
         no_edges.passed and mult.passed and weight.passed,

@@ -715,6 +715,10 @@ HUGE_ARGUMENTS = [
     # 4,083 candidates x 63 certificate columns x 66 row pairs; 2x62 fits
     (["compute", "columns", "--m", "12", "--k", "2", "--pattern", ("1" * 63 + "\n") * 2],
      "m=12, k=2: 4083 candidate columns x 4158 table bits exceed the 16777216-cell limit"),
+    # a 2 x 2^18 all-ones pattern is transposed, in time linear in its cells,
+    # before the table rule refuses it
+    (["compute", "columns", "--m", "10", "--k", "2", "--pattern", ("1" * (1 << 18) + "\n") * 2],
+     "m=10, k=2: 1013 candidate columns x 11796480 table bits exceed the 16777216-cell limit"),
 ]
 
 
@@ -766,11 +770,14 @@ def test_wide_inputs_are_answered_at_once(argv, code, tmp_path):
 
 
 def test_layout_with_distinct_denominators_renders_at_once(tmp_path):
-    # 8,000 bars whose 16,000 endpoints have pairwise distinct denominators
+    # 16,000 bars whose 32,000 endpoints have pairwise distinct denominators
     # in [10^6, 2*10^6): a common denominator of the whole layout would take
-    # time and memory quadratic in the input
+    # time and memory quadratic in the input.  On a 2-CPU x86_64 host this
+    # renders in about 1.5 s, while an SVG built on the common denominator
+    # takes about 19 s, or runs out of the 400 MiB if it keeps the scaled
+    # endpoints.
     rng = random.Random(18)
-    n = 8000
+    n = 16000
     ends = []
     for q in rng.sample(range(10**6, 2 * 10**6), 2 * n):
         p = rng.randrange(1, q)
@@ -786,6 +793,14 @@ def test_layout_with_distinct_denominators_renders_at_once(tmp_path):
     assert proc.stdout.startswith("<svg") and proc.stdout.count("<rect") == n
 
 
+SCRIPT_HEADERS = {
+    "column_extremal_sweep.py": ["m,k,c,value,closed_form,match,nodes,seconds"],
+    "visibility_experiment.py": [
+        "== edge counts vs (2s+3)n ==", "== greedy avoider weight vs closed-form bound =="
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "script,args",
     [
@@ -796,4 +811,7 @@ def test_layout_with_distinct_denominators_renders_at_once(tmp_path):
 def test_scripts_run_at_tiny_sizes(script, args):
     proc = run_python(str(ROOT / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    lines = proc.stdout.splitlines()
+    # every section prints rows under its header
+    for head in SCRIPT_HEADERS[script]:
+        assert lines.index(head) + 1 < len(lines)

@@ -346,6 +346,21 @@ class TestMatrixBasics:
         assert transpose(transpose(m)) == m
         assert transpose(m).row_bits == tuple(m.columns())
 
+    @pytest.mark.parametrize(
+        "rows,cols", [(64, 64), (65, 3), (3, 65), (100, 130), (1, 300), (0, 70), (70, 0)]
+    )
+    def test_transpose_moves_every_cell_of_wide_and_tall_matrices(self, rows, cols):
+        # past 64 rows or columns the transposition goes through strings
+        rng = random.Random(rows * 1000 + cols)
+        for density in (0.02, 0.5, 1.0):
+            m = Matrix01(rows, cols, tuple(
+                sum((rng.random() < density) << j for j in range(cols)) for _ in range(rows)
+            ))
+            t = transpose(m)
+            assert (t.rows, t.cols) == (cols, rows)
+            assert all(t.cell(j, i) == m.cell(i, j) for i in range(rows) for j in range(cols))
+            assert transpose(t) == m
+
     @given(matrices())
     def test_transpose_and_flips_move_every_cell(self, m):
         t, h, v = transpose(m), flip_h(m), flip_v(m)

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from exmat import (
     sweep_edges_oracle,
     witness_is_exact,
 )
+from exmat.visibility import VisEdge
 from exmat.patterns import TrsParams, generate_T
 from exmat.render import _MARGIN, _X_SCALE, _fmt, layout_svg
+from exmat import verify
 from exmat.verify import greedy_avoider, random_avoider, random_layout
 
 from conftest import matrices
@@ -81,6 +84,43 @@ def reference_reduction(matrix, r, s):
             members = tuple(bar_rows.index(a) for a in [i] + below)
             seen.setdefault(members, []).append(Fraction(j + 1))
     return bars, list(seen.items())
+
+
+def all_subsets_oracle(layout):
+    """Every (s+2)-subset of all bars, with every other bar as a possible
+    blocker, tested at the midpoint of every gap between consecutive
+    endpoints: the reference that `sweep_edges_oracle` must reproduce,
+    members, witnesses and order."""
+    size = layout.s + 2
+    bars = layout.bars
+    n = len(bars)
+    if n < size:
+        return []
+    ends = sorted([b.x_left for b in bars] + [b.x_right for b in bars])
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    seen = {}
+    prev = set()
+    for x in mids:
+        covers = [b.covers(x) for b in bars]
+        current = set()
+        for combo in combinations(range(n), size):
+            if not all(covers[i] for i in combo):
+                continue
+            ys = [bars[i].y_rank for i in combo]
+            lo, hi = min(ys), max(ys)
+            blocked = any(
+                lo < bars[j].y_rank < hi and covers[j]
+                for j in range(n)
+                if j not in combo
+            )
+            if blocked:
+                continue
+            key = frozenset(combo)
+            current.add(key)
+            if key not in prev:
+                seen.setdefault(key, []).append(x)
+        prev = current
+    return [VisEdge(tuple(sorted(key)), tuple(wit)) for key, wit in seen.items()]
 
 
 class TestLayoutModel:
@@ -149,6 +189,17 @@ class TestSweep:
                 for w in e.witnesses:
                     assert witness_is_exact(lay, e.members, w)
         assert shared_floors > 0
+
+    def test_oracle_matches_its_all_subsets_reference(self):
+        # the covering-bars oracle gives the same edges, witnesses and order
+        rng = random.Random(20261020)
+        for _ in range(120):
+            n = rng.randint(2, 9)
+            s = rng.randint(0, 3)
+            for lay in (random_layout(rng, n, s), fractional_layout(rng, n, s)):
+                assert sweep_edges_oracle(lay) == all_subsets_oracle(lay)
+        for lay in (BarLayout(STACK, 0), BarLayout(STACK, 1)):
+            assert sweep_edges_oracle(lay) == all_subsets_oracle(lay)
 
     def test_edge_count_bound_and_witness_exactness(self):
         rng = random.Random(7)
@@ -230,6 +281,44 @@ class TestLayoutFormat:
         assert lay.bars[1].x_left == Fraction(1, 3)
         assert lay.bars[2] == Bar(3, -2, Fraction(7, 2))
 
+    @pytest.mark.parametrize(
+        "text,bar",
+        [
+            ("1 +3/4 2", (1, Fraction(3, 4), Fraction(2))),
+            ("1 -0/5 2", (1, Fraction(0), Fraction(2))),
+            ("1 -6/4 00/7", (1, Fraction(-3, 2), Fraction(0))),
+            ("-2 12/8 5", (-2, Fraction(3, 2), Fraction(5))),
+        ],
+    )
+    def test_coordinates_parse_to_their_values(self, text, bar):
+        [parsed] = parse_layout(text, 0).bars
+        assert (parsed.y_rank, parsed.x_left, parsed.x_right) == bar
+        assert type(parsed.x_left) is Fraction and type(parsed.x_right) is Fraction
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 1/0 3", "bad bar line '1 1/0 3': Fraction(1, 0)"),
+            ("1 3 2", "bad bar line '1 3 2': bar needs x_left < x_right, got 3 >= 2"),
+            ("a 1/0 3", "bad bar line 'a 1/0 3': invalid literal for int() with base 10: 'a'"),
+            (
+                "1 0 " + "7" * 5000,
+                "Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 5000 digits",
+            ),
+            (
+                "1 -" + "7" * 5000 + "/3 0",
+                "Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 5000 digits",
+            ),
+        ],
+    )
+    def test_bad_coordinates_name_their_line_and_cause(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_layout(text, 0)
+        assert str(info.value).startswith(f"bad bar line {text!r}: ")
+        assert message in str(info.value)
+
     def test_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             parse_layout("1 2", 0)
@@ -282,6 +371,21 @@ class TestMatrixReduction:
             mat, r, s
         )
 
+    def test_matches_reference_on_every_3x3_matrix(self):
+        # every 3x3 matrix, many of which keep no bar after trimming
+        empty = 0
+        for rows in product(range(8), repeat=3):
+            mat = Matrix01(3, 3, rows)
+            for r, s in ((0, 0), (1, 0), (2, 0), (0, 1)):
+                lay, edges = matrix_to_visibility(mat, r, s)
+                bars = [(b.y_rank, b.x_left, b.x_right) for b in lay.bars]
+                assert lay.s == s
+                assert (bars, [(e.members, list(e.witnesses)) for e in edges]) == (
+                    reference_reduction(mat, r, s)
+                )
+                empty += not bars
+        assert 0 < empty < 512 * 4
+
     def test_witness_segments_meet_exactly_their_members(self):
         rng = random.Random(4)
         for _ in range(40):
@@ -322,6 +426,18 @@ class TestMatrixReduction:
             mat = random_avoider(rng, n, n, pset)
             _, edges = matrix_to_visibility(mat, 1, 0)
             assert edges == []
+
+    def test_no_edges_claim_names_a_failing_host_by_its_mask(self, monkeypatch):
+        # row r of the host is bits 3r..3r+2 of the reported mask
+        def reduce(host, r, s):
+            lay, edges = matrix_to_visibility(host, r, s)
+            if host.row_bits == (0b001, 0b100, 0b000):
+                edges = [VisEdge((0, 1), (Fraction(1),))]
+            return lay, edges
+
+        monkeypatch.setattr(verify, "matrix_to_visibility", reduce)
+        no_edges = verify.claim_kvis(random_trials=1, exhaustive_n=(3,))[0]
+        assert no_edges.observed == {"checked": 480, "failures": [(3, 0b000_100_001)]}
 
     @pytest.mark.parametrize("r,s", [(2, 0), (1, 1), (3, 1)])
     def test_multiplicity_bound_on_avoiders(self, r, s):
