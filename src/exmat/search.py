@@ -7,12 +7,12 @@ are branch and bound that test only the containment an extension can create,
 and neither runs a containment search once its boundary cases and seeds are
 settled.  Every checked pattern is an automaton, built by _automaton, whose
 state records, per subset of host lines, how many pattern lines the greedy
-match has placed.  ex_columns appends a column, the sorted tuple of its
-rows, at a time: the automaton runs over row subsets.  ex_weight sets a cell
-at a time in row-major order: the automaton runs over column subsets and
-advances once per finished row, and a cell set to 1 is tested against the
-zeros of its row.  What a candidate covers is one bitmask per query, so
-testing it takes a few ANDs.
+match has placed.  ex_columns appends a column of exactly k ones, the
+sorted tuple of its rows, at a time: the automaton runs over row subsets.
+ex_weight sets a cell at a time in row-major order: the automaton runs over
+column subsets and advances once per finished row, and a cell set to 1 is
+tested against the zeros of its row.  What a candidate covers is one
+bitmask per query, so testing it takes a few ANDs.
 
 Boundary semantics for ex_columns, one finiteness rule:
   * k > m: the value is 0 (no column can hold k ones).
@@ -27,10 +27,11 @@ Boundary semantics for ex_columns, one finiteness rule:
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
 bound.  Both searches run on one explicit-stack driver, so their depth is
-limited by memory, not by Python's recursion limit.  A column query with
-more than COLUMN_CANDIDATE_LIMIT candidates and slots is refused with
-SizeLimitError, and so is any query whose table, times the masks as wide as
-it that the search keeps (its candidates or its n columns), passes
+limited by memory, not by Python's recursion limit.  A column query whose
+C(m, k) candidates and C(m, cert_rows) support slots number more than
+COLUMN_CANDIDATE_LIMIT is refused with SizeLimitError, and so is any query
+whose table, times the masks as wide as it that the search keeps (the
+larger of its candidates and its m rows, or its n columns), passes
 MATRIX_CELL_LIMIT; _automaton applies that rule before it builds anything.
 """
 
@@ -41,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import or_
 
@@ -64,10 +65,11 @@ ORACLE_CELL_LIMIT = 16
 # Distinct (m, n, patterns) oracle results kept; `verify all` needs 32.
 ORACLE_CACHE_SIZE = 128
 
-# ex_columns refuses queries whose candidate columns plus support slots
-# exceed this count; m = 15 at k = 2 still fits.  The slots bound the
-# certificate's C(m, cert_rows) row subsets when k = m: the table rule then
-# counts one candidate mask, but the table also has m per-row masks.
+# ex_columns refuses queries whose C(m, k) candidate columns plus
+# C(m, cert_rows) support slots exceed this count, before it lists them: a
+# narrow table, such as a 1-row certificate's, would pass the table rule
+# with the C(20, 10) candidates of m = 20, k = 10.  The slots bound the
+# certificate's row subsets when k = m leaves a single candidate.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
 
 
@@ -356,12 +358,14 @@ def ex_columns(
     """Maximum number of columns of an m-row matrix with >= k ones each
     avoiding the patterns.
 
-    A column is the sorted tuple of its rows.  Columns (every row subset of
-    size >= k) are appended left to right in lexicographic order of those
-    tuples; shuffle_seed reorders the candidates, which must not change the
-    optimum.  Pruning uses the support slots of _column_bound: an appended
-    column consumes the slots among its own rows, at least C(k, cert_rows)
-    of them, so no more than slack // C(k, cert_rows) columns can follow.
+    A column is the sorted tuple of its rows.  Turning ones into zeros
+    never creates a containment, so every avoider trims to one with exactly
+    k ones per column and the same number of columns; only the k-subsets of
+    rows are candidates.  They are appended left to right in lexicographic
+    order; shuffle_seed reorders them, which must not change the optimum.
+    Each column fills the C(k, cert_rows) support slots of _column_bound
+    among its rows, so no avoider has more than cap // C(k, cert_rows)
+    columns, and the search stops once its best one has that many.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
@@ -375,10 +379,8 @@ def ex_columns(
     if cap == 0:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
-    # The sum stops once past the limit; C(m, j) >= m for 1 <= j <= m-1, so a
-    # huge m is refused after the first term or two.
-    counts = (comb(m, size) for size in chain((cert_rows,), range(k, m + 1)))
-    if any(needed > COLUMN_CANDIDATE_LIMIT for needed in accumulate(counts)):
+    count = _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT)
+    if count + _binomial_past(m, cert_rows, COLUMN_CANDIDATE_LIMIT) > COLUMN_CANDIDATE_LIMIT:
         raise SizeLimitError(
             f"m={m}, k={k} needs more candidate columns and support slots "
             f"than the limit {COLUMN_CANDIDATE_LIMIT}"
@@ -386,42 +388,38 @@ def ex_columns(
     # A pattern taller than the host never embeds, so it is not checked; one
     # always fits: the bound came from a pattern with at most k <= m rows or
     # from band hosts of at most m rows that each hold a pattern.  Transposed,
-    # a pattern's columns are the automaton's levels.
+    # a pattern's columns are the automaton's levels.  The search keeps a
+    # table-wide mask per candidate and per row; only k = m has fewer
+    # candidates than rows.
     checked = [transpose(p) for p in dict.fromkeys(pats) if p.rows <= m]
-    count = sum(comb(m, size) for size in range(k, m + 1))
-    block, state, ends, holds = _automaton(m, checked, count, f"m={m}, k={k}: {count} candidate columns")
-    candidates = sorted(sel for size in range(k, m + 1) for sel in combinations(range(m), size))
+    masks = f"{count} candidate columns" if k < m else f"{m} row masks"
+    block, state, ends, holds = _automaton(m, checked, max(count, m), f"m={m}, k={k}: {masks}")
+    candidates = list(combinations(range(m), k))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(candidates)
 
     last = sum(ends)
-    cov = _cover_masks(holds, candidates)
-    table = list(zip(candidates, (comb(len(s), cert_rows) for s in candidates), cov))
-    del cov
-    slack = cap
-    per = comb(k, cert_rows)
+    table = list(zip(candidates, _cover_masks(holds, candidates)))
+    top = cap // comb(k, cert_rows)
 
     chosen: list[tuple[int, ...]] = []
     best: list[tuple[int, ...]] = []
 
     def node():
-        nonlocal best, state, slack
-        depth = len(chosen)
-        if depth > len(best):
+        nonlocal best, state
+        if len(chosen) > len(best):
             best = chosen.copy()
-        if depth + slack // per <= len(best):
-            return
-        for sel, size, cov in table:
+        for sel, cov in table:
+            if len(best) == top:
+                return
             hit = state & cov
             if hit & last:
                 continue
             saved = state
             state = state ^ hit | hit << block
             chosen.append(sel)
-            slack -= size
             yield node()
             chosen.pop()
-            slack += size
             state = saved
 
     nodes, exact = _depth_first(node(), budget)

@@ -380,24 +380,26 @@ class TestCompute:
         assert avoids_all(witness, parse_pattern_set(tall.read_text()))
 
     def test_deep_column_search_is_budget_cut(self, capsys, tmp_path):
+        # the greedy path reaches the 39 * C(8, 2) = 1,092 columns that end
+        # the search; a budget of 1,000 cuts it 1,000 columns deep
         wide = tmp_path / "p2x40.txt"
         wide.write_text("1" * 40 + "\n" + "1" * 40 + "\n")
         code, out, _ = run_cli(
             capsys, "compute", "columns", "--m", "8", "--k", "2",
-            "--pattern", str(wide), "--budget", "5000",
+            "--pattern", str(wide), "--budget", "1000",
         )
         assert code == 3
         doc = json.loads(out)
-        assert doc["exact"] is False and doc["nodes_explored"] == 5001
+        assert doc["exact"] is False and doc["nodes_explored"] == 1001
         witness = parse_matrix(doc["witness"])
         assert witness.rows == 8 and witness.cols == doc["value"] <= 39 * 28
         assert all(bits.bit_count() >= 2 for bits in witness.columns())
         assert avoids_two_row_block(witness, 40)
 
     def test_widest_admitted_block_at_m12_is_answered(self, capsys, tmp_path):
-        # 4,083 candidates x 62 x 66 table bits fit; the 2x63 block is refused
-        wide = tmp_path / "p2x62.txt"
-        wide.write_text(("1" * 62 + "\n") * 2)
+        # 66 candidates x 3851 x 66 table bits fit; the 2x3852 block is refused
+        wide = tmp_path / "p2x3851.txt"
+        wide.write_text(("1" * 3851 + "\n") * 2)
         code, out, _ = run_cli(
             capsys, "compute", "columns", "--m", "12", "--k", "2",
             "--pattern", str(wide), "--budget", "10",
@@ -407,11 +409,27 @@ class TestCompute:
         assert doc["exact"] is False and doc["nodes_explored"] == 11
         witness = parse_matrix(doc["witness"])
         assert witness.rows == 12 and witness.cols == doc["value"] >= 1
-        assert avoids_two_row_block(witness, 62)
+        assert avoids_two_row_block(witness, 3851)
+
+    def test_block_of_63_columns_at_m12_meets_its_cap(self, capsys, tmp_path):
+        # each pair of rows shares at most 62 columns, so 62 * C(12, 2)
+        wide = tmp_path / "p2x63.txt"
+        wide.write_text(("1" * 63 + "\n") * 2)
+        code, out, _ = run_cli(
+            capsys, "compute", "columns", "--m", "12", "--k", "2", "--pattern", str(wide),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exact"] is True and doc["value"] == 62 * 66 == 4092
+        witness = parse_matrix(doc["witness"])
+        assert witness.rows == 12 and witness.cols == 4092
+        assert all(bits.bit_count() == 2 for bits in witness.columns())
+        assert avoids_two_row_block(witness, 63)
 
     def test_oversized_column_query_is_input_error(self, capsys, p22_file):
+        # C(400, 2) = 79,800 candidate columns
         code, out, err = run_cli(
-            capsys, "compute", "columns", "--m", "40", "--k", "2", "--pattern", p22_file
+            capsys, "compute", "columns", "--m", "400", "--k", "2", "--pattern", p22_file
         )
         assert code == 2
         assert out == "" and "limit" in err
@@ -567,7 +585,7 @@ class TestVerify:
             "--pattern", p22_file, "--sweep", "k:2:3", "--format", "csv",
         )
         assert code == 0
-        assert out.strip().splitlines()[1] == "2,3,True,8"
+        assert out.strip().splitlines()[1] == "2,3,True,4"
 
 
 class TestRender:
@@ -703,22 +721,28 @@ HUGE_ARGUMENTS = [
     (["compute", "weight", "--m", "100000", "--n", "100000", "--budget", "10"], "limit"),
     (["generate", "lowerP", "--m", "300", "--r", "2", "--k", "3"], "limit"),
     (["generate", "lowerP", "--m", "5", "--r", "2", "--k", "100000"], "limit"),
-    # 39,203 candidates x 2 certificate columns x 12,870 row subsets
+    # 12,870 candidates x 2 certificate columns x 12,870 row subsets
     (["compute", "columns", "--m", "16", "--k", "8", "--pattern", "11\n" * 8],
-     "m=16, k=8: 39203 candidate columns x 25740 table bits exceed the 16777216-cell limit"),
-    # 32,752 candidates x 40 certificate columns x 15 row subsets
-    (["compute", "columns", "--m", "15", "--k", "2", "--pattern", "1" + "0" * 38 + "1\n"],
-     "m=15, k=2: 32752 candidate columns x 600 table bits exceed the 16777216-cell limit"),
+     "m=16, k=8: 12870 candidate columns x 25740 table bits exceed the 16777216-cell limit"),
+    # 44,850 candidates x 40 certificate columns x 300 row subsets
+    (["compute", "columns", "--m", "300", "--k", "2", "--pattern", "1" + "0" * 38 + "1\n"],
+     "m=300, k=2: 44850 candidate columns x 12000 table bits exceed the 16777216-cell limit"),
     # 257 columns x 2 levels x C(257, 2) column pairs in the row automaton
     (["compute", "weight", "--m", "257", "--n", "257"],
      "m=257, n=257: 257 columns x 65792 table bits exceed the 16777216-cell limit"),
-    # 4,083 candidates x 63 certificate columns x 66 row pairs; 2x62 fits
-    (["compute", "columns", "--m", "12", "--k", "2", "--pattern", ("1" * 63 + "\n") * 2],
-     "m=12, k=2: 4083 candidate columns x 4158 table bits exceed the 16777216-cell limit"),
+    # 66 candidates x 3,852 certificate columns x 66 row pairs; 2x3851 fits
+    (["compute", "columns", "--m", "12", "--k", "2", "--pattern", ("1" * 3852 + "\n") * 2],
+     "m=12, k=2: 66 candidate columns x 254232 table bits exceed the 16777216-cell limit"),
     # a 2 x 2^18 all-ones pattern is transposed, in time linear in its cells,
     # before the table rule refuses it
     (["compute", "columns", "--m", "10", "--k", "2", "--pattern", ("1" * (1 << 18) + "\n") * 2],
-     "m=10, k=2: 1013 candidate columns x 11796480 table bits exceed the 16777216-cell limit"),
+     "m=10, k=2: 45 candidate columns x 11796480 table bits exceed the 16777216-cell limit"),
+    # k = m leaves one candidate, but the search keeps a mask per row: 1,000
+    # masks x 4 levels x C(1000, 2) row pairs of the 2x2 block, a block past
+    # 2^24 // 1000 bits that is reported as that bound
+    (["compute", "columns", "--m", "1000", "--k", "1000", "--budget", "1",
+      "--pattern", "11\n" * 1000 + "\n" + "11\n11\n"],
+     "m=1000, k=1000: 1000 row masks x over 16777 table bits exceed the 16777216-cell limit"),
 ]
 
 

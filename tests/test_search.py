@@ -39,7 +39,9 @@ P22 = PatternSet.of(pattern_P(2, 2))
 
 def brute_ex_columns(m, k, patterns, max_cols):
     """Unpruned reference: every column sequence up to max_cols, with no
-    bound or slot pruning, avoidance by contains_oracle only.
+    bound or slot pruning, avoidance by contains_oracle only.  Its columns
+    are every row subset of size >= k, as the definition reads, so the
+    differential tests also check that ex_columns may trim to exactly k.
 
     An embedding into a prefix followed by more columns splits at the
     prefix's last column, so two prefixes of one length whose rows T host
@@ -412,11 +414,43 @@ class TestExColumns:
 
 
     def test_oversized_candidate_list_is_refused(self):
-        with pytest.raises(SizeLimitError):
-            ex_columns(40, 2, P22)
+        # C(400, 2) = 79,800 candidate columns, refused before any table
+        with pytest.raises(SizeLimitError, match="candidate columns and support slots"):
+            ex_columns(400, 2, P22)
+
+    def test_forty_rows_reach_the_pigeonhole_cap(self):
+        # one column per pair of rows: any two columns sharing two rows
+        # hold P22, so C(40, 2) is the value
+        res = ex_columns(40, 2, P22)
+        assert res.exact and res.value == comb(40, 2) == res.witness.cols
+        assert len(set(res.witness.columns())) == comb(40, 2)
+        assert all(bits.bit_count() == 2 for bits in res.witness.columns())
+
+    def test_witness_columns_hold_exactly_k_ones(self):
+        # trimming ones never creates a containment, so the search offers
+        # only columns of exactly k ones, budget-cut or not
+        for m, k, pats, budget in [
+            (4, 2, P22, None),
+            (5, 3, PatternSet.of(pattern_P(3, 3)), None),
+            (5, 2, B101_011, 300),
+            (6, 1, PatternSet.of(pattern_P(1, 3)), None),
+            (4, 4, PatternSet.of(pattern_P(4, 2)), None),
+        ]:
+            res = ex_columns(m, k, pats, budget=budget)
+            assert res.value == res.witness.cols >= 1
+            assert all(bits.bit_count() == k for bits in res.witness.columns())
+            assert not any(contains_oracle(res.witness, p) for p in pats)
+
+    def test_five_row_frontier_value(self):
+        # the frontier of the 5-row search: 14, proven over the ten
+        # two-row columns in about 1.8M nodes
+        res = ex_columns(5, 2, B101_011)
+        assert (res.value, res.nodes_explored, res.exact) == (14, 1777627, True)
+        assert res.witness.cols == 14
+        assert not any(contains_oracle(res.witness, p) for p in B101_011)
 
     def test_oversized_slot_list_is_refused(self):
-        # 41 candidate columns, but C(40, 20) support slots
+        # 40 candidate columns, but C(40, 20) support slots
         with pytest.raises(SizeLimitError):
             ex_columns(40, 39, PatternSet.of(pattern_P(20, 2)))
 
@@ -429,7 +463,8 @@ T10_01_10 = Matrix01.from_rows([[1, 0], [0, 1], [1, 0]])
 # searches moved onto the explicit-stack driver; a driver or pruning change
 # must not move them silently.  The columns entries pin the certificate's
 # pigeonhole bound and its automaton alone, shuffled and beside checked
-# patterns.
+# patterns; their node counts and witnesses were recorded again when the
+# candidates became the k-subsets of rows, with every exact value kept.
 PINNED = [
     ("weight", (4, 4, P22, {}), (9, 5618, True, "1110\n1001\n0101\n0011")),
     ("weight", (4, 4, PatternSet.of(DIAMOND), {}),
@@ -441,50 +476,50 @@ PINNED = [
     ("weight", (6, 6, P22, {"budget": 2000}),
      (11, 2001, False, "111111\n100000\n100000\n100000\n100000\n100000")),
     ("columns", (6, 2, P22, {}),
-     (15, 288, True, "111110000000000\n100001111000000\n010001000111000\n"
+     (15, 16, True, "111110000000000\n100001111000000\n010001000111000\n"
       "001000100100110\n000100010010101\n000010001001011")),
     ("columns", (5, 2, B101_011, {"budget": 300}),
-     (7, 301, False, "1111100\n1100000\n0000111\n0010010\n0001001")),
+     (8, 301, False, "11110100\n11000000\n00000111\n00011010\n00101001")),
     ("columns", (5, 3, PatternSet.of(pattern_P(3, 2)), {}),
-     (10, 72, True, "1111110000\n1110001110\n1001101101\n0101011011\n0010110111")),
+     (10, 11, True, "1111110000\n1110001110\n1001101101\n0101011011\n0010110111")),
     ("columns", (5, 2, P22, {"shuffle_seed": 3}),
-     (10, 136, True, "1001101000\n0100001011\n0000110110\n0011010001\n1110000100")),
+     (10, 11, True, "1001000101\n0111010000\n1000011010\n0100101100\n0010100011")),
     # an all-ones certificate beside a pattern that is still checked
     ("columns", (5, 2, PatternSet(P22.patterns + B101_011.patterns), {}),
-     (10, 6865, True, "1101001000\n0000001111\n0001110100\n0110100010\n1010010001")),
+     (10, 5934, True, "1101001000\n0000001111\n0001110100\n0110100010\n1010010001")),
     # an all-ones block that is not the certificate (3 rows > k)
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 2), pattern_P(3, 2)), {}),
-     (10, 101, True, "1111000000\n1000111000\n0100100110\n0010010101\n0001001011")),
+     (10, 11, True, "1111000000\n1000111000\n0100100110\n0010010101\n0001001011")),
     # two equal all-ones blocks
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), pattern_P(2, 3)), {}),
-     (20, 201, True, "11111111000000000000\n11000000111111000000\n00110000110000111100\n"
+     (20, 21, True, "11111111000000000000\n11000000111111000000\n00110000110000111100\n"
       "00001100001100110011\n00000011000011001111")),
     # recorded before the slot cover table: a 3x3 certificate, so a row
     # subset's automaton level reaches its last block only on its second
     # covering column, in candidate order, shuffled, and beside a pattern
     # that is still checked
     ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {}),
-     (20, 143, True, "11111111111100000000\n11111100000011111100\n11000011110011110011\n"
+     (20, 21, True, "11111111111100000000\n11111100000011111100\n11000011110011110011\n"
       "00110011001111001111\n00001100111100111111")),
     ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {"shuffle_seed": 5}),
-     (20, 356, True, "11001111111100110000\n11110011001100001111\n00111100111111000011\n"
-      "11000000110011111111\n00111111000011111100")),
+     (20, 21, True, "11111111000000111100\n11001111111111000000\n00110011001111001111\n"
+      "00111100110011110011\n11000000111100111111")),
     ("columns", (4, 2, PatternSet.of(pattern_P(2, 3), *B101_011), {}),
-     (9, 6921, True, "000001111\n001111100\n111100010\n110010001")),
+     (9, 3600, True, "000001111\n001111100\n111100010\n110010001")),
     # recorded before the column automaton: a checked 3-row pattern beside
     # a 2-row certificate, two checked patterns in candidate order and
     # shuffled, and checked patterns of two heights, shuffled
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 2), T10_01_10), {}),
-     (7, 3173, True, "1010101\n1100000\n0111000\n0001110\n0000011")),
+     (7, 2548, True, "1010101\n1100000\n0111000\n0001110\n0000011")),
     ("columns", (4, 2, PatternSet.of(*B101_011, C110_011), {}),
-     (6, 1491, True, "001111\n101100\n010010\n110001")),
+     (6, 757, True, "001111\n101100\n010010\n110001")),
     ("columns", (5, 2, PatternSet.of(*B101_011, C110_011), {"shuffle_seed": 7}),
-     (8, 114995, True, "00011111\n00100010\n10011000\n01100001\n11000100")),
+     (8, 45817, True, "00001111\n01100010\n11100000\n00010001\n10011100")),
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), T10_01_10, *B101_011), {"shuffle_seed": 2}),
-     (11, 15543, True, "00000011111\n00110011000\n01111000100\n11001100010\n10000100001")),
-    # a 1-row certificate at k = 2: each column fills at least C(2, 1) slots
+     (11, 9371, True, "00000001111\n00011001100\n00111110010\n11100100000\n11000010001")),
+    # a 1-row certificate at k = 2: each column fills C(2, 1) slots
     ("columns", (4, 2, PatternSet.of(pattern_P(1, 5)), {}),
-     (8, 49, True, "11110000\n11110000\n00001111\n00001111")),
+     (8, 9, True, "11110000\n11110000\n00001111\n00001111")),
 ]
 
 
@@ -494,6 +529,9 @@ def test_pinned_values_and_node_counts(kind, args, expected):
     search = ex_weight if kind == "weight" else ex_columns
     res = search(a, b, pats, **options)
     assert (res.value, res.nodes_explored, res.exact, res.witness.to_text()) == expected
+    if kind == "columns":
+        assert not any(contains_oracle(res.witness, p) for p in pats)
+        assert all(bits.bit_count() == b for bits in res.witness.columns())
 
 
 class TestPinnedCallCounts:
@@ -529,8 +567,8 @@ class TestPinnedCallCounts:
             return real(host, pattern)
 
         monkeypatch.setattr(matrix_module, "contains", contains)
-        assert ex_columns(6, 2, P22).nodes_explored == 288
-        assert ex_columns(5, 2, PatternSet(P22.patterns + B101_011.patterns)).nodes_explored == 6865
+        assert ex_columns(6, 2, P22).nodes_explored == 16
+        assert ex_columns(5, 2, PatternSet(P22.patterns + B101_011.patterns)).nodes_explored == 5934
         assert calls == []
 
 
