@@ -8,13 +8,11 @@ visibility hypergraphs with exact rational sweep geometry.
 """
 
 from .matrix import (
-    ColumnRange,
     DegeneratePatternError,
     Matrix01,
     PatternSet,
     SizeLimitError,
     avoids_all,
-    column_ranges,
     contains,
     contains_oracle,
     flip_h,
@@ -31,8 +29,6 @@ from .search import (
     ExtremalResult,
     OracleSizeError,
     check_column_bound_from_linear_weight,
-    check_monotonicity,
-    check_range_overlap_inequality,
     ex_columns,
     ex_weight,
     ex_weight_oracle,

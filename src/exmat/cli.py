@@ -25,6 +25,7 @@ from .constructions import (
 from .matrix import (
     Matrix01,
     PatternSet,
+    SizeLimitError,
     format_pattern_set,
     parse_matrix,
     parse_pattern_set,
@@ -49,6 +50,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 DEFAULT_CLI_BUDGET = 5_000_000
+
+# A --sweep range may hold at most this many points; each is one query.
+SWEEP_POINT_LIMIT = 1024
 
 
 def _read(path: str) -> str:
@@ -135,11 +139,15 @@ def _parse_sweep(spec: str):
         lo, hi = int(lo), int(hi)
         if var not in ("m", "n", "k") or lo > hi:
             raise ValueError
-        return var, lo, hi
     except ValueError:
         raise ValueError(
             f"bad sweep spec {spec!r}; expected VAR:LO:HI with VAR in m,n,k and LO <= HI"
         )
+    if hi - lo + 1 > SWEEP_POINT_LIMIT:
+        raise SizeLimitError(
+            f"sweep {spec} has {hi - lo + 1} points, more than the limit {SWEEP_POINT_LIMIT}"
+        )
+    return var, lo, hi
 
 
 def cmd_generate(args) -> int:

@@ -182,15 +182,6 @@ class PatternSet:
         return len(self.patterns)
 
 
-@dataclass(frozen=True)
-class ColumnRange:
-    """Rows spanned by the ones of one column: topmost and bottommost one."""
-
-    col: int
-    top: int
-    bottom: int
-
-
 # ---------------------------------------------------------------------------
 # containment core
 #
@@ -280,30 +271,21 @@ def avoids_all(host: Matrix01, patterns: PatternSet) -> bool:
     return not any(contains(host, p) for p in patterns)
 
 
-def column_ranges(matrix: Matrix01) -> list[ColumnRange]:
-    """One ColumnRange per column that has at least one one, in column order."""
-    out = []
-    cols = matrix.columns()
-    for j, bits in enumerate(cols):
-        if bits:
-            top = (bits & -bits).bit_length() - 1
-            bottom = bits.bit_length() - 1
-            out.append(ColumnRange(j, top, bottom))
-    return out
-
-
 def is_range_overlapping(pattern: Matrix01) -> bool:
     """Every pair of columns' top-to-bottom one segments meets a common row.
 
     Requires every column to contain a one; an all-zero column has no
     segment and raises DegeneratePatternError.
     """
-    ranges = column_ranges(pattern)
-    if len(ranges) != pattern.cols:
-        bad = sorted(set(range(pattern.cols)) - {r.col for r in ranges})
+    cols = pattern.columns()
+    if not all(cols):
+        bad = [j for j, bits in enumerate(cols) if not bits]
         raise DegeneratePatternError(f"all-zero column(s) {bad} have no row segment")
-    # Intervals that meet pairwise share a point (Helly, in one dimension).
-    return max((r.top for r in ranges), default=0) <= min((r.bottom for r in ranges), default=0)
+    # A column's segment runs from its lowest set bit to its highest.  Segments
+    # that meet pairwise share a row (Helly, in one dimension), so the deepest
+    # top may not lie below the highest bottom.
+    top = max(((bits & -bits).bit_length() for bits in cols), default=0)
+    return top <= min((bits.bit_length() for bits in cols), default=0)
 
 
 def transpose(matrix: Matrix01) -> Matrix01:

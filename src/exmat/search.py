@@ -41,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, combinations
 from math import comb
 from operator import or_
@@ -54,16 +54,12 @@ from .matrix import (
     avoids_all,
     check_cells,
     contains_oracle,
-    is_range_overlapping,
     transpose,
 )
 
 UNBOUNDED = math.inf
 
 ORACLE_CELL_LIMIT = 16
-
-# Distinct (m, n, patterns) oracle results kept; `verify all` needs 32.
-ORACLE_CACHE_SIZE = 128
 
 # ex_columns refuses queries whose C(m, k) candidate columns plus
 # C(m, cert_rows) support slots exceed this count, before it lists them: a
@@ -207,7 +203,6 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     return ExtremalResult(best_w, best_m, nodes, exact)
 
 
-@lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     """Exhaustive enumeration of all 2^(m*n) matrices; always exact.
 
@@ -433,38 +428,6 @@ def ex_columns(
 
 
 @dataclass(frozen=True)
-class RangeOverlapBoundReport:
-    """ex(m,n,P) <= k * (ex_k(m,P) + n) for a range-overlapping P."""
-
-    m: int
-    n: int
-    k: int
-    weight_value: int
-    column_value: int | float
-    rhs: int | float
-    holds: bool
-
-
-def check_range_overlap_inequality(
-    pattern: Matrix01, m: int, n: int, k: int
-) -> RangeOverlapBoundReport:
-    """Evaluate both sides exactly at oracle scale and compare.
-
-    The pattern must be range-overlapping (that hypothesis is what makes
-    the cluster-splitting argument behind the inequality work).
-    """
-    if not is_range_overlapping(pattern):
-        raise ValueError("pattern is not range-overlapping")
-    if k < 1:
-        raise ValueError("k must be positive")
-    single = PatternSet.of(pattern)
-    lhs = ex_weight_oracle(m, n, single).value
-    col = ex_columns(m, k, single)
-    rhs = UNBOUNDED if col.unbounded else k * (col.value + n)
-    return RangeOverlapBoundReport(m, n, k, lhs, col.value, rhs, lhs <= rhs)
-
-
-@dataclass(frozen=True)
 class LinearCertificateReport:
     """From a verified bound exs(m,n,S) <= g_m + c*n follows exs_k <= g_m/(k-c)."""
 
@@ -507,19 +470,3 @@ def check_column_bound_from_linear_weight(
     return LinearCertificateReport(
         m, k, c, g_m, tuple(ns), tuple(failed), col.value, bound, holds
     )
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    m: int
-    ks: tuple[int, ...]
-    values: tuple[int | float, ...]
-    nonincreasing: bool
-
-
-def check_monotonicity(m: int, patterns: PatternSet, k_range) -> MonotonicityReport:
-    """Column extremal values never increase as the per-column minimum k grows."""
-    ks = tuple(k_range)
-    values = tuple(ex_columns(m, k, patterns).value for k in ks)
-    ok = all(a >= b for a, b in zip(values, values[1:]))
-    return MonotonicityReport(m, ks, values, ok)

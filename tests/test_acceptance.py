@@ -7,7 +7,7 @@ value compared here is an integer identity or inequality.
 
 import random
 import time
-from math import comb
+from math import comb, inf
 
 from exmat import (
     UNBOUNDED,
@@ -80,6 +80,7 @@ def test_criterion_3_containment_oracle_equivalence():
 def test_criterion_4_weight_column_inequality():
     start = time.perf_counter()
     [res] = claim_weight_column_inequality()
+    assert res.observed == {"cases": 96, "failures": []}
     report(
         "4 ex(m,n,P) <= k*(ex_k(m,P)+n)",
         res.passed,
@@ -137,6 +138,7 @@ def test_criterion_8_induction_construction():
 def test_criterion_9_boundary_semantics():
     start = time.perf_counter()
     boundary, floor = claim_boundary_and_monotone()
+    assert boundary.observed["monotone_values"] == [inf, 6, 1, 1, 0]
     report(
         "9 boundary semantics and weight floor n",
         boundary.passed and floor.passed,

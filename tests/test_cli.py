@@ -318,6 +318,16 @@ class TestCompute:
         assert code == 2
         assert out == "" and "LO <= HI" in err
 
+    def test_sweep_holds_at_most_the_point_limit(self, capsys, p22_file):
+        argv = ("compute", "columns", "--m", "3", "--k", "2", "--pattern", p22_file,
+                "--format", "csv", "--sweep")
+        code, out, err = run_cli(capsys, *argv, "k:1:1025")
+        assert code == 2
+        assert out == "" and "1025 points, more than the limit 1024" in err
+        code, out, _ = run_cli(capsys, *argv, "k:1:1024")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 1024
+
     @pytest.mark.parametrize(
         "kind,fixed,ignored", [("columns", ("--k", "2"), "n"), ("weight", ("--n", "3"), "k")]
     )
@@ -743,6 +753,9 @@ HUGE_ARGUMENTS = [
     (["compute", "columns", "--m", "1000", "--k", "1000", "--budget", "1",
       "--pattern", "11\n" * 1000 + "\n" + "11\n11\n"],
      "m=1000, k=1000: 1000 row masks x over 16777 table bits exceed the 16777216-cell limit"),
+    # every k > m answers at once, but the sweep's rows would grow without end
+    (["compute", "columns", "--m", "3", "--k", "2", "--sweep", "k:1:1000000000000"],
+     "sweep k:1:1000000000000 has 1000000000000 points, more than the limit 1024"),
 ]
 
 

@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exmat import (
-    ColumnRange,
     DegeneratePatternError,
     Matrix01,
     PatternSet,
     avoids_all,
-    column_ranges,
     contains,
     contains_oracle,
     flip_h,
@@ -218,25 +216,6 @@ class TestAvoidsAll:
         assert avoids_all(host, PatternSet.of(pattern_P(3, 3), pattern_P(1, 5)))
 
 
-class TestColumnRanges:
-    def test_all_ones_block(self):
-        assert column_ranges(pattern_P(3, 2)) == [
-            ColumnRange(0, 0, 2),
-            ColumnRange(1, 0, 2),
-        ]
-
-    def test_diamond(self):
-        assert column_ranges(DIAMOND) == [
-            ColumnRange(0, 1, 1),
-            ColumnRange(1, 0, 2),
-            ColumnRange(2, 1, 1),
-        ]
-
-    def test_zero_columns_omitted(self):
-        m = Matrix01.from_ones(3, 3, [(0, 0), (2, 2)])
-        assert [r.col for r in column_ranges(m)] == [0, 2]
-
-
 class TestRangeOverlapping:
     def test_all_ones_blocks(self):
         assert is_range_overlapping(pattern_P(3, 4))
@@ -260,9 +239,14 @@ class TestRangeOverlapping:
             rows, cols = rng.randint(1, 7), rng.randint(1, 6)
             supports = tuple(rng.randint(1, (1 << rows) - 1) for _ in range(cols))
             m = transpose(Matrix01(cols, rows, supports))
+            # each column's top and bottom one, read from its mask
+            spans = [
+                (min(ones), max(ones))
+                for ones in ([r for r in range(rows) if bits >> r & 1] for bits in supports)
+            ]
             pairwise = all(
-                a.top <= b.bottom and b.top <= a.bottom
-                for a, b in combinations(column_ranges(m), 2)
+                a_top <= b_bottom and b_top <= a_bottom
+                for (a_top, a_bottom), (b_top, b_bottom) in combinations(spans, 2)
             )
             assert is_range_overlapping(m) == pairwise
             seen.add(pairwise)

@@ -15,20 +15,20 @@ from exmat import (
     SizeLimitError,
     avoids_all,
     check_column_bound_from_linear_weight,
-    check_monotonicity,
-    check_range_overlap_inequality,
     contains_oracle,
     ex_columns,
     ex_weight,
     ex_weight_oracle,
     flip_h,
     flip_v,
+    is_range_overlapping,
     pattern_L,
     pattern_P,
     transpose,
 )
 import exmat.matrix as matrix_module
 import exmat.search as search_module
+import exmat.verify as verify_module
 from exmat.patterns import TrsParams, generate_T
 
 from conftest import small_patterns
@@ -573,22 +573,24 @@ class TestPinnedCallCounts:
 
 
 class TestInequalityReports:
+    # ex(m, n, P) <= k * (ex_k(m, P) + n) for a range-overlapping P, with
+    # both sides exact: ex_weight_oracle on the left, ex_columns on the right.
+
     def test_block_instance(self):
-        rep = check_range_overlap_inequality(pattern_P(2, 2), 3, 3, 2)
-        assert rep.weight_value == 6
-        assert rep.column_value == 3
-        assert rep.rhs == 12
-        assert rep.holds
+        assert ex_weight_oracle(3, 3, P22).value == 6
+        assert ex_columns(3, 2, P22).value == 3
+        assert 6 <= 2 * (3 + 3)
 
     def test_diamond_low_k_is_unbounded_rhs(self):
-        rep = check_range_overlap_inequality(DIAMOND, 3, 3, 1)
-        assert rep.column_value == UNBOUNDED
-        assert rep.holds
+        assert ex_columns(3, 1, PatternSet.of(DIAMOND)).value == UNBOUNDED
 
-    def test_rejects_non_range_overlapping(self):
-        skew = Matrix01.from_ones(3, 2, [(0, 0), (2, 1)])
-        with pytest.raises(ValueError):
-            check_range_overlap_inequality(skew, 3, 3, 1)
+    def test_rejects_non_range_overlapping(self, monkeypatch):
+        # the claim checks the inequality's hypothesis: a pattern that fails
+        # it is a failure even though every case holds
+        monkeypatch.setattr(verify_module, "is_range_overlapping", lambda p: p != DIAMOND)
+        [res] = verify_module.claim_weight_column_inequality()
+        assert not res.passed
+        assert res.observed == {"cases": 96, "failures": [("diamond", "not range-overlapping")]}
 
     def test_random_small_patterns_always_hold(self):
         rng = random.Random(11)
@@ -601,17 +603,15 @@ class TestInequalityReports:
             )
             if any(not bits for bits in m.columns()):
                 continue
-            try:
-                rep = check_range_overlap_inequality(m, 3, 3, rng.randint(1, 3))
-            except ValueError:
+            k = rng.randint(1, 3)
+            if not is_range_overlapping(m):
                 continue
             checked += 1
-            assert rep.holds
+            single = PatternSet.of(m)
+            assert ex_weight_oracle(3, 3, single).value <= k * (ex_columns(3, k, single).value + 3)
 
     def test_monotone_in_k(self):
-        rep = check_monotonicity(4, P22, range(1, 6))
-        assert rep.values == (inf, 6, 1, 1, 0)
-        assert rep.nonincreasing
+        assert [ex_columns(4, k, P22).value for k in range(1, 6)] == [inf, 6, 1, 1, 0]
 
     def test_linear_certificate_example(self):
         # fit g from oracle values of the 3-row weight extremal function
