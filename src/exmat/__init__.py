@@ -27,7 +27,6 @@ from .patterns import TrsParams, generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
     ExtremalResult,
-    OracleSizeError,
     check_column_bound_from_linear_weight,
     ex_columns,
     ex_weight,
@@ -48,8 +47,7 @@ from .visibility import (
     BarLayout,
     LayoutError,
     VisEdge,
-    bars_at,
-    check_avoider_weight_bound,
+    avoider_weight_bound,
     format_layout,
     matrix_to_visibility,
     parse_layout,

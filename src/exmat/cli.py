@@ -233,7 +233,7 @@ def cmd_render(args) -> int:
     else:
         layout = parse_layout(_read(args.input), args.s if args.s is not None else 0)
         edges = sweep_edges(layout)
-    sys.stdout.write(layout_svg(layout, edges, witnesses=not args.no_witnesses))
+    sys.stdout.write(layout_svg(layout, None if args.no_witnesses else edges))
     return EXIT_OK
 
 

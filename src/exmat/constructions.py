@@ -20,10 +20,11 @@ from .matrix import Matrix01, SizeLimitError, _trim_bits, check_cells, flip_h, t
 # pigeonhole_witness refuses to build more rows or columns than this.
 PIGEONHOLE_COLUMN_LIMIT = 1 << 16
 
-# lower_bound_witness refuses more rows or C(m, r) columns than this, since
-# every induction step builds the column graph over all pairs of columns,
-# and more than this many induction steps.  At both limits it takes a few
-# seconds.
+# coloring_induction refuses a matrix with more columns than this, since
+# every induction step builds the column graph over all pairs of columns;
+# lower_bound_witness refuses more rows or C(m, r) columns before it builds
+# its first rung, and more than this many induction steps.  At both limits
+# it takes a few seconds.
 INDUCTION_COLUMN_LIMIT = 1 << 10
 INDUCTION_STEP_LIMIT = 16
 
@@ -134,8 +135,11 @@ def coloring_induction(matrix: Matrix01, r: int) -> Iterator[Rung]:
     degree of adj, and gives column b a one in appended row number
     color(b).  Same-colored columns are non-adjacent, so they shared at most
     r-2 old rows and the new shared row keeps every pair below r common
-    rows.  The matrix needs the same number of ones in every column.
+    rows.  The matrix needs the same number of ones in every column, and
+    at most INDUCTION_COLUMN_LIMIT columns.
     """
+    if matrix.cols > INDUCTION_COLUMN_LIMIT:
+        raise SizeLimitError(f"{matrix.cols} columns exceed the induction limit {INDUCTION_COLUMN_LIMIT}")
     if len({bits.bit_count() for bits in matrix.columns()}) > 1:
         raise ValueError("induction-step input needs a uniform number of ones per column")
     while True:

@@ -1,7 +1,8 @@
 """Deterministic SVG emission for bar layouts.
 
 Bars are horizontal rectangles ordered by y_rank (smallest rank on top);
-witness segments are vertical lines spanning their edge's member bars.
+witness segments are vertical lines spanning their edge's member bars,
+and edges=None draws none.
 The same layout and edges always produce byte-identical output.  Bars stay
 rational; each x coordinate is the float of its exact offset from the
 leftmost endpoint, one correctly rounded int division, then scaled.
@@ -20,11 +21,7 @@ _MARGIN = 20
 _X_SCALE = 30
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.3f}"
-
-
-def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses: bool = True) -> str:
+def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None) -> str:
     bars = layout.bars
     if not bars:
         return (
@@ -51,28 +48,27 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None, witnesses:
     # each bar's top y, by bar index
     ys = [_MARGIN + row_of_rank[b.y_rank] * _ROW_GAP for b in bars]
 
-    width = _fmt(2 * _MARGIN + float(x_max - x_min) * _X_SCALE)
-    height = _fmt(2 * _MARGIN + (len(bars) - 1) * _ROW_GAP + _BAR_HEIGHT)
+    width = f"{2 * _MARGIN + float(x_max - x_min) * _X_SCALE:.3f}"
+    height = f"{2 * _MARGIN + (len(bars) - 1) * _ROW_GAP + _BAR_HEIGHT:.3f}"
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    if witnesses and edges:
-        for edge in edges:
-            member_ys = [ys[i] for i in edge.members]
-            top, bottom = _fmt(min(member_ys)), _fmt(max(member_ys) + _BAR_HEIGHT)
-            for wx in edge.witnesses:
-                x = _fmt(sx(wx))
-                out.append(
-                    f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
-                    'stroke="#c03030" stroke-width="1.5"/>'
-                )
+    for edge in edges or ():
+        member_ys = [ys[i] for i in edge.members]
+        top, bottom = f"{min(member_ys):.3f}", f"{max(member_ys) + _BAR_HEIGHT:.3f}"
+        for wx in edge.witnesses:
+            x = f"{sx(wx):.3f}"
+            out.append(
+                f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
+                'stroke="#c03030" stroke-width="1.5"/>'
+            )
     for b, y in zip(bars, ys):
         p, q = b.x_right.numerator, b.x_right.denominator
         p1, q1 = b.x_left.numerator, b.x_left.denominator
         out.append(
-            f'<rect x="{_fmt(sx(b.x_left))}" y="{_fmt(y)}" '
-            f'width="{_fmt((p * q1 - p1 * q) / (q * q1) * _X_SCALE)}" height="{_BAR_HEIGHT}" '
+            f'<rect x="{sx(b.x_left):.3f}" y="{y:.3f}" '
+            f'width="{(p * q1 - p1 * q) / (q * q1) * _X_SCALE:.3f}" height="{_BAR_HEIGHT}" '
             'fill="#305090" stroke="#102040" stroke-width="1"/>'
         )
     out.append("</svg>")

@@ -69,10 +69,6 @@ ORACLE_CELL_LIMIT = 16
 COLUMN_CANDIDATE_LIMIT = 1 << 16
 
 
-class OracleSizeError(ValueError):
-    """Requested size exceeds the exhaustive-enumeration limit."""
-
-
 def _depth_first(root, budget: int | None) -> tuple[int, bool]:
     """Walk a search tree depth first with an explicit stack.
 
@@ -212,7 +208,7 @@ def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     if m * n > ORACLE_CELL_LIMIT:
-        raise OracleSizeError(f"{m}x{n} exceeds the {ORACLE_CELL_LIMIT}-cell oracle limit")
+        raise SizeLimitError(f"{m}x{n} exceeds the {ORACLE_CELL_LIMIT}-cell oracle limit")
     pats = tuple(patterns)
     col_mask = (1 << n) - 1
     best_w = -1
@@ -237,13 +233,21 @@ def _column_bound(m: int, k: int, pats) -> tuple[int, int] | None:
     is unbounded.  A chosen column fills one slot per cert_rows-subset of
     its rows, and all of them fill at most cap slots.  The bound is the
     smallest pigeonhole cap, the first on ties, or failing one the band
-    hosts' (k, (w-1)*C(m, k)); the module docstring derives both."""
-    caps = [(p.rows, (p.cols - 1) * comb(m, p.rows)) for p in pats if p.rows <= k]
-    if caps:
+    hosts' (k, (w-1)*C(m, k)); the module docstring derives both.
+
+    ex_columns refuses a certificate whose C(m, rows) passes its candidate
+    limit, so C(m, rows) stops once past (w-1) times it, w the widest
+    certificate: such a cap exceeds every cap within the limit, so the same
+    certificate is chosen, or one that is refused.
+    """
+    certs = [p for p in pats if p.rows <= k]
+    if certs:
+        past = (max(p.cols for p in certs) - 1) * COLUMN_CANDIDATE_LIMIT
+        caps = [(p.rows, (p.cols - 1) * _binomial_past(m, p.rows, past)) for p in certs]
         return min(caps, key=lambda bound: bound[1])
     if any(avoids_all(host, pats) for host in _band_hosts(m, k, pats)):
         return None
-    return k, (max(p.cols for p in pats) - 1) * comb(m, k)
+    return k, (max(p.cols for p in pats) - 1) * _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT)
 
 
 def _band_hosts(m: int, k: int, pats):

@@ -43,7 +43,7 @@ from .search import (
 from .visibility import (
     Bar,
     BarLayout,
-    check_avoider_weight_bound,
+    avoider_weight_bound,
     matrix_to_visibility,
     sweep_edges,
     sweep_edges_oracle,
@@ -138,12 +138,14 @@ def random_layout(rng: random.Random, n: int, s: int) -> BarLayout:
 # ---------------------------------------------------------------------------
 
 
-def claim_columns_exact_formula() -> list[ClaimResult]:
-    """ex_k(m, all-ones k x c) equals (c-1) * C(m, k), exactly."""
+def claim_pigeonhole() -> list[ClaimResult]:
+    """ex_k(m, all-ones k x c) equals (c-1) * C(m, k), exactly, and the
+    repeated-subsets witness has that many columns and avoids the block."""
     m_max, k_max, cs = 6, 3, (2, 3)
 
     def check():
         failures = []
+        witness_failures = []
         cases = 0
         for m in range(1, m_max + 1):
             for k in range(1, min(k_max, m) + 1):
@@ -159,36 +161,20 @@ def claim_columns_exact_formula() -> list[ClaimResult]:
                     )
                     if not ok:
                         failures.append((m, k, c, res.value, expected))
-        return [_verdict(failures, cases=cases)]
+                    wit = pigeonhole_witness(m, k, c)
+                    if wit.cols != expected or contains(wit, pattern_P(k, c)):
+                        witness_failures.append((m, k, c))
+        return [_verdict(failures, cases=cases), _verdict(witness_failures)]
 
+    params = {"m_max": m_max, "k_max": k_max, "cs": list(cs)}
     return _claims(
         check,
         ("columns-exact-formula",
          "exact column extremal value of the all-ones k x c pattern is (c-1)*C(m,k)",
-         {"m_max": m_max, "k_max": k_max, "cs": list(cs)}),
-    )
-
-
-def claim_pigeonhole_witness() -> list[ClaimResult]:
-    """The repeated-subsets witness has (c-1)*C(m,k) columns and avoids the block."""
-    m_max, k_max, cs = 6, 3, (2, 3)
-
-    def check():
-        failures = []
-        for m in range(1, m_max + 1):
-            for k in range(1, min(k_max, m) + 1):
-                for c in cs:
-                    wit = pigeonhole_witness(m, k, c)
-                    ok = wit.cols == (c - 1) * comb(m, k) and not contains(wit, pattern_P(k, c))
-                    if not ok:
-                        failures.append((m, k, c))
-        return [_verdict(failures)]
-
-    return _claims(
-        check,
+         params),
         ("pigeonhole-witness-valid",
          "every k-subset repeated c-1 times gives an avoiding matrix with (c-1)*C(m,k) columns",
-         {"m_max": m_max, "k_max": k_max, "cs": list(cs)}),
+         params),
     )
 
 
@@ -397,15 +383,14 @@ def claim_kvis(
 
     The exhaustive part decides each n x n host's avoidance once, with
     `contains(host, DIAMOND)`, and checks every avoider for no edge and
-    weight at most 4n.  It does not call `check_avoider_weight_bound`: for
-    r = 1, s = 0 that wrapper's precondition is the same diamond test (T(1,0)
-    is {diamond}) and its bound is 4n, so the check is the same.
+    weight at most the (1, 0) bound.
     """
 
     def check_exhaustive():
         no_edge_failures = []
         checked_exhaustive = 0
         for n in exhaustive_n:
+            bound = avoider_weight_bound(n, 1, 0)
             # product varies its last item fastest, so reversed, its tuples
             # run in mask order: row r is bits r*n .. r*n+n-1 of mask
             for mask, rev in enumerate(product(range(1 << n), repeat=n)):
@@ -414,7 +399,7 @@ def claim_kvis(
                     continue
                 checked_exhaustive += 1
                 _, edges = matrix_to_visibility(host, 1, 0)
-                if edges or host.weight > 4 * n:
+                if edges or host.weight > bound:
                     no_edge_failures.append((n, mask))
         return [_verdict(no_edge_failures[:5], checked=checked_exhaustive)]
 
@@ -435,8 +420,7 @@ def claim_kvis(
                 _, edges = matrix_to_visibility(mat, r, s)
                 if any(e.multiplicity > r - 1 for e in edges):
                     mult_failures.append((r, s, t))
-                rep = check_avoider_weight_bound(mat, r, s)
-                if not rep.holds:
+                if mat.weight > avoider_weight_bound(n, r, s):
                     weight_failures.append((r, s, t))
         return [
             _verdict(mult_failures, checked=random_checked),
@@ -591,7 +575,7 @@ def _scaled(base: int, scale: float) -> int:
 # Suite name -> its claims at a (scale, seed); a suite's counts are scaled in
 # the order its claims run, so an oversized scale fails at the same claim.
 SUITES = {
-    "pigeonhole": lambda scale, seed: claim_columns_exact_formula() + claim_pigeonhole_witness(),
+    "pigeonhole": lambda scale, seed: claim_pigeonhole(),
     "edges": lambda scale, seed: claim_edge_bounds(_scaled(1000, scale), seed),
     "rangeo": lambda scale, seed: (
         claim_weight_column_inequality() + claim_cluster_split(_scaled(1000, scale), seed)
@@ -606,17 +590,13 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
+def run_suites(names, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     if not isfinite(scale) or scale <= 0:
         raise ValueError(f"scale must be finite and positive, got {scale}")
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](scale, seed)
-
-
-def run_suites(names, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     results = []
     for name in names:
-        results.extend(run_suite(name, scale=scale, seed=seed))
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+        results.extend(SUITES[name](scale, seed))
     results.sort(key=lambda r: r.claim_id)
     return results

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matrix import Matrix01, PatternSet, _transpose, _trim_bits, avoids_all
-from .patterns import TrsParams, generate_T
+from .matrix import Matrix01, _transpose, _trim_bits
 
 
 class LayoutError(ValueError):
@@ -91,23 +90,12 @@ class VisEdge:
         return len(self.witnesses)
 
 
-def bars_at(layout: BarLayout, x: Fraction) -> list[int]:
-    """Indices of bars covering x, sorted by height."""
-    hit = [i for i, b in enumerate(layout.bars) if b.covers(x)]
-    hit.sort(key=lambda i: layout.bars[i].y_rank)
-    return hit
-
-
 def witness_is_exact(layout: BarLayout, members, x: Fraction) -> bool:
     """A vertical segment at x through the member span meets exactly the members."""
-    mset = set(members)
-    stab = bars_at(layout, x)
-    if not mset <= set(stab):
-        return False
     ys = [layout.bars[i].y_rank for i in members]
     lo, hi = min(ys), max(ys)
-    covered = {i for i in stab if lo <= layout.bars[i].y_rank <= hi}
-    return covered == mset
+    met = {i for i, b in enumerate(layout.bars) if b.covers(x) and lo <= b.y_rank <= hi}
+    return met == set(members)
 
 
 def sweep_edges(layout: BarLayout) -> list[VisEdge]:
@@ -246,37 +234,18 @@ def matrix_to_visibility(
     return BarLayout(tuple(bars), s), edges
 
 
-@dataclass(frozen=True)
-class AvoiderWeightReport:
-    """weight(M) <= (3s+3+r)*n + (r-1)*(2s+3)*(n-r) for n x n avoiders of the
-    T family with parameters (r, s)."""
+def avoider_weight_bound(n: int, r: int, s: int) -> int:
+    """The closed-form bound (3s+3+r)*n + (r-1)*(2s+3)*(n-r) on the weight
+    of an n x n matrix avoiding the whole T family for (r, s).
 
-    n: int
-    r: int
-    s: int
-    weight: int
-    bound: int
-    holds: bool
-
-
-def check_avoider_weight_bound(matrix: Matrix01, r: int, s: int) -> AvoiderWeightReport:
-    """Verify the closed-form weight bound on a square matrix avoiding the
-    whole T family for (r, s).
-
-    Requires r >= 1: the bound's second term counts witness segments per
-    edge, at most r-1 of them, and degenerates for r = 0.
+    Requires r >= 1: the second term counts witness segments per edge, at
+    most r-1 of them, and degenerates for r = 0.
     """
     if r < 1:
         raise ValueError("the weight bound needs r >= 1")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if matrix.rows != matrix.cols:
-        raise ValueError("matrix must be square")
-    if not avoids_all(matrix, generate_T(TrsParams(r, s))):
-        raise ValueError("matrix contains a member of the forbidden family")
-    n = matrix.rows
-    bound = (3 * s + 3 + r) * n + (r - 1) * (2 * s + 3) * (n - r)
-    return AvoiderWeightReport(n, r, s, matrix.weight, bound, matrix.weight <= bound)
+    return (3 * s + 3 + r) * n + (r - 1) * (2 * s + 3) * (n - r)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,11 @@ from exmat.verify import (
     DEFAULT_SEED,
     claim_boundary_and_monotone,
     claim_cluster_split,
-    claim_columns_exact_formula,
     claim_containment_agreement,
     claim_edge_bounds,
     claim_induction,
     claim_kvis,
-    claim_pigeonhole_witness,
+    claim_pigeonhole,
     claim_t_family,
     claim_weight_column_inequality,
     random_matrix,
@@ -44,8 +43,7 @@ def report(criterion: str, passed: bool, detail: str, started: float):
 
 def test_criterion_1_exact_column_formula():
     start = time.perf_counter()
-    [res] = claim_columns_exact_formula()
-    [wit] = claim_pigeonhole_witness()
+    res, wit = claim_pigeonhole()
     report(
         "1 exact column formula (c-1)*C(m,k)",
         res.passed and wit.passed,

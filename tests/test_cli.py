@@ -26,7 +26,7 @@ from exmat import (
 )
 from exmat.cli import main
 from exmat.patterns import T_FAMILY_LIMIT
-from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suite
+from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -565,7 +565,7 @@ class TestVerify:
         assert code == 2
         assert out == "" and "positive" in err
         with pytest.raises(ValueError):
-            run_suite("pigeonhole", scale=float(scale))
+            run_suites(("pigeonhole",), scale=float(scale))
 
     def test_huge_scale_is_size_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "edges", "--scale", "1e300")
@@ -756,6 +756,12 @@ HUGE_ARGUMENTS = [
     # every k > m answers at once, but the sweep's rows would grow without end
     (["compute", "columns", "--m", "3", "--k", "2", "--sweep", "k:1:1000000000000"],
      "sweep k:1:1000000000000 has 1000000000000 points, more than the limit 1024"),
+    # the 500,000 x 2 block's cap is refused without building C(10^6, 5*10^5)
+    (["compute", "columns", "--m", "1000000", "--k", "500000", "--pattern", "11\n" * 500000],
+     "m=1000000, k=500000 needs more candidate columns and support slots than the limit 65536"),
+    # 4,096 columns would make a column graph of about 8.4M pairs
+    (["transform", "induction-step", "1" * 4096 + "\n", "--r", "2"],
+     "4096 columns exceed the induction limit 1024"),
 ]
 
 
@@ -763,11 +769,16 @@ def run_capped(argv, tmp_path):
     # The child runs with a 400 MiB address space and a 5 s timeout, so an
     # oversized build fails the test instead of exhausting the machine.  A
     # compute command gives its pattern's text after --pattern, P22 if none;
-    # a render command gives its layout's text in place of the file.
+    # a render command gives its layout's text, and a transform command its
+    # matrix's text, in place of the file.
     if argv[0] == "render":
         path = tmp_path / "layout.txt"
         path.write_text(argv[1])
         argv = ["render", str(path), *argv[2:]]
+    if argv[0] == "transform":
+        path = tmp_path / "matrix.txt"
+        path.write_text(argv[2])
+        argv = [*argv[:2], str(path), *argv[3:]]
     if argv[0] == "compute":
         if "--pattern" not in argv:
             argv = argv + ["--pattern", "11\n11\n"]

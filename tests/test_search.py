@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from exmat import (
     UNBOUNDED,
     Matrix01,
-    OracleSizeError,
     PatternSet,
     SizeLimitError,
     avoids_all,
@@ -211,7 +210,7 @@ class TestExWeightZeroLines:
 
 class TestExWeightOracle:
     def test_size_limit(self):
-        with pytest.raises(OracleSizeError):
+        with pytest.raises(SizeLimitError):
             ex_weight_oracle(5, 4, P22)
 
     def test_one_cell_pattern(self):
@@ -417,6 +416,13 @@ class TestExColumns:
         # C(400, 2) = 79,800 candidate columns, refused before any table
         with pytest.raises(SizeLimitError, match="candidate columns and support slots"):
             ex_columns(400, 2, P22)
+
+    def test_cap_past_the_limit_does_not_displace_a_smaller_one(self):
+        # P(6,4) caps at 3*C(19,6) = 81,396 and P(9,2) at C(19,9) = 92,378;
+        # C(19, 9) cut at the candidate limit would read 75,582, pick P(9,2)
+        # and refuse a query whose certificate fits
+        res = ex_columns(19, 18, PatternSet((pattern_P(9, 2), pattern_P(6, 4))))
+        assert res.exact and res.value == 1
 
     def test_forty_rows_reach_the_pigeonhole_cap(self):
         # one column per pair of rows: any two columns sharing two rows

@@ -12,8 +12,8 @@ from exmat import (
     BarLayout,
     LayoutError,
     Matrix01,
+    avoider_weight_bound,
     avoids_all,
-    check_avoider_weight_bound,
     contains,
     contains_oracle,
     format_layout,
@@ -25,7 +25,7 @@ from exmat import (
 )
 from exmat.visibility import VisEdge
 from exmat.patterns import TrsParams, generate_T
-from exmat.render import _MARGIN, _X_SCALE, _fmt, layout_svg
+from exmat.render import _MARGIN, _X_SCALE, layout_svg
 from exmat import verify
 from exmat.verify import greedy_avoider, random_avoider, random_layout
 
@@ -234,13 +234,13 @@ class TestSvgCoordinates:
         x_min = min(b.x_left for b in lay.bars)
 
         def sx(x):
-            return _fmt(_MARGIN + float(x - x_min) * _X_SCALE)
+            return f"{_MARGIN + float(x - x_min) * _X_SCALE:.3f}"
 
         svg = layout_svg(lay, edges)
         rects = re.findall(r'<rect x="([^"]*)" y="[^"]*" width="([^"]*)"', svg)
         lines = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)"', svg)
         assert rects == [
-            (sx(b.x_left), _fmt(float(b.x_right - b.x_left) * _X_SCALE)) for b in lay.bars
+            (sx(b.x_left), f"{float(b.x_right - b.x_left) * _X_SCALE:.3f}") for b in lay.bars
         ]
         assert lines == [(sx(w), sx(w)) for e in edges for w in e.witnesses]
         return len(lines)
@@ -456,27 +456,18 @@ class TestMatrixReduction:
 class TestWeightBound:
     def test_identity_passes(self):
         ident = Matrix01.from_ones(6, 6, [(i, i) for i in range(6)])
-        rep = check_avoider_weight_bound(ident, 1, 0)
-        assert rep.holds and rep.bound == 24
+        assert avoids_all(ident, generate_T(TrsParams(1, 0)))
+        assert ident.weight <= avoider_weight_bound(6, 1, 0) == 24
 
     def test_small_hosts_cannot_contain_and_still_fit_bound(self):
         # members do not fit below their own dimensions, and from n = 2 on
         # the formula still dominates the full n^2 weight for (r, s) = (3, 1)
         for n in (2, 3, 4, 5):
-            rep = check_avoider_weight_bound(Matrix01.filled(n, n), 3, 1)
-            assert rep.holds
-
-    def test_rejects_containing_matrix(self):
-        with pytest.raises(ValueError):
-            check_avoider_weight_bound(Matrix01.filled(4, 4), 1, 0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            check_avoider_weight_bound(Matrix01.filled(2, 3), 1, 0)
+            assert Matrix01.filled(n, n).weight <= avoider_weight_bound(n, 3, 1)
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
-            check_avoider_weight_bound(Matrix01.zeros(3, 3), 0, 0)
+            avoider_weight_bound(3, 0, 0)
 
     def test_greedy_avoiders_stay_within_bound(self):
         rng = random.Random(55)
@@ -484,7 +475,8 @@ class TestWeightBound:
             fam = generate_T(TrsParams(r, s))
             for n in (5, 8, 11):
                 mat = greedy_avoider(rng, n, n, fam)
-                assert check_avoider_weight_bound(mat, r, s).holds
+                assert avoids_all(mat, fam)
+                assert mat.weight <= avoider_weight_bound(n, r, s)
 
 
 class TestGreedyAvoider:
