@@ -14,7 +14,7 @@ import argparse
 import random
 
 from exmat import avoider_weight_bound, sweep_edges
-from exmat.patterns import TrsParams, generate_T
+from exmat.patterns import generate_T
 from exmat.verify import greedy_avoider, random_layout
 
 
@@ -42,7 +42,7 @@ def avoider_weights(seed, max_n):
     print("== greedy avoider weight vs closed-form bound ==")
     print("r,s,n,weight,bound,ratio")
     for r, s in ((1, 0), (2, 0), (1, 1), (3, 1)):
-        fam = generate_T(TrsParams(r, s))
+        fam = generate_T(r, s)
         for n in range(max(4, r + s + 2), max_n + 1, 3):
             mat = greedy_avoider(rng, n, n, fam)
             weight, bound = mat.weight, avoider_weight_bound(n, r, s)

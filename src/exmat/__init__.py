@@ -23,7 +23,7 @@ from .matrix import (
     parse_pattern_set,
     transpose,
 )
-from .patterns import TrsParams, generate_T, pattern_L, pattern_P
+from .patterns import generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
     ExtremalResult,

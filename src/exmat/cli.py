@@ -1,9 +1,10 @@
 """Command-line surface: compute, generate, verify, render, transform.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exhausted.  JSON records carry a "schema": "1" field; CSV sweeps start with
-a header row.  All commands are deterministic for identical inputs and
-flags.
+exhausted.  Each `generate` family and `transform` operation has its own
+parser, which requires the flags it reads and refuses any other.  JSON
+records carry a "schema": "1" field; CSV sweeps start with a header row.
+All commands are deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from itertools import islice
 
 from .constructions import (
@@ -30,7 +32,7 @@ from .matrix import (
     parse_matrix,
     parse_pattern_set,
 )
-from .patterns import TrsParams, generate_T, pattern_L, pattern_P
+from .patterns import generate_T, pattern_L, pattern_P
 from .render import layout_svg
 from .search import (
     ExtremalResult,
@@ -53,6 +55,16 @@ DEFAULT_CLI_BUDGET = 5_000_000
 
 # A --sweep range may hold at most this many points; each is one query.
 SWEEP_POINT_LIMIT = 1024
+
+# `generate` family -> the int flags it reads, all required.
+GENERATE_FLAGS = {
+    "L": ("i",),
+    "P": ("r", "c"),
+    "T": ("r", "s"),
+    "Kprime": ("m", "k"),
+    "pigeonhole": ("m", "k", "c"),
+    "lowerP": ("m", "r", "k"),
+}
 
 
 def _read(path: str) -> str:
@@ -93,6 +105,8 @@ def cmd_compute(args) -> int:
     patterns = _load_patterns(args.pattern)
     if args.budget < 0:
         raise ValueError(f"--budget must be at least 0 (0 means no budget), got {args.budget}")
+    if args.format == "csv" and not args.sweep:
+        raise ValueError("--format csv needs --sweep; a single query prints JSON")
     budget = args.budget if args.budget > 0 else None
     base_query = {
         "kind": args.kind,
@@ -153,22 +167,16 @@ def _parse_sweep(spec: str):
 def cmd_generate(args) -> int:
     fam = args.family
     if fam == "L":
-        _need(args, "i")
         print(pattern_L(args.i).to_text())
     elif fam == "P":
-        _need(args, "r", "c")
         print(pattern_P(args.r, args.c).to_text())
     elif fam == "T":
-        _need(args, "r", "s")
-        print(format_pattern_set(generate_T(TrsParams(args.r, args.s))))
+        print(format_pattern_set(generate_T(args.r, args.s)))
     elif fam == "Kprime":
-        _need(args, "m", "k")
         print(construct_K_prime(args.m, args.k).to_text())
     elif fam == "pigeonhole":
-        _need(args, "m", "k", "c")
         print(pigeonhole_witness(args.m, args.k, args.c).to_text())
-    elif fam == "lowerP":
-        _need(args, "m", "r", "k")
+    else:  # lowerP
         rungs = lower_bound_witness(args.m, args.r, args.k)
         witness = rungs[-1][0]
         if args.format == "json":
@@ -187,12 +195,6 @@ def cmd_generate(args) -> int:
         else:
             print(witness.to_text())
     return EXIT_OK
-
-
-def _need(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"family {args.family} needs --" + ", --".join(missing))
 
 
 def _rung_record(rung: Rung) -> dict:
@@ -237,21 +239,17 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def cmd_transform(args) -> int:
-    matrix = parse_matrix(_read(args.input))
-    if args.operation == "cluster-split":
-        if args.k is None:
-            raise ValueError("cluster-split needs --k")
-        out = cluster_split(matrix, args.k)
-        if out.cols == 0:
-            print(json.dumps({"schema": "1", "empty": True, "rows": out.rows, "cols": 0}))
-        else:
-            print(out.to_text())
-        return EXIT_OK
-    # induction-step
-    if args.r is None:
-        raise ValueError("induction-step needs --r")
-    before, after = islice(coloring_induction(matrix, args.r), 2)
+def cmd_cluster_split(args) -> int:
+    out = cluster_split(parse_matrix(_read(args.input)), args.k)
+    if out.cols == 0:
+        print(json.dumps({"schema": "1", "empty": True, "rows": out.rows, "cols": 0}))
+    else:
+        print(out.to_text())
+    return EXIT_OK
+
+
+def cmd_induction_step(args) -> int:
+    before, after = islice(coloring_induction(parse_matrix(_read(args.input)), args.r), 2)
     if args.format == "json":
         print(
             json.dumps(
@@ -269,6 +267,7 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exmat",
@@ -289,16 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_gen = sub.add_parser("generate", help="emit a named pattern or construction")
-    p_gen.add_argument(
-        "family", choices=("L", "P", "T", "Kprime", "pigeonhole", "lowerP")
-    )
-    p_gen.add_argument("--i", type=int)
-    p_gen.add_argument("--r", type=int)
-    p_gen.add_argument("--s", type=int)
-    p_gen.add_argument("--c", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--format", choices=("text", "json"), default="text")
+    families = p_gen.add_subparsers(dest="family", required=True)
+    for family, flags in GENERATE_FLAGS.items():
+        p_family = families.add_parser(family)
+        for flag in flags:
+            p_family.add_argument(f"--{flag}", type=int, required=True)
+        if family == "lowerP":
+            p_family.add_argument("--format", choices=("text", "json"), default="text")
     p_gen.set_defaults(func=cmd_generate)
 
     p_verify = sub.add_parser("verify", help="run seeded claim suites")
@@ -317,19 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=cmd_render)
 
     p_tr = sub.add_parser("transform", help="apply a construction to a matrix")
-    p_tr.add_argument("operation", choices=("cluster-split", "induction-step"))
-    p_tr.add_argument("input", metavar="FILE")
-    p_tr.add_argument("--k", type=int)
-    p_tr.add_argument("--r", type=int)
-    p_tr.add_argument("--format", choices=("text", "json"), default="text")
-    p_tr.set_defaults(func=cmd_transform)
+    operations = p_tr.add_subparsers(dest="operation", required=True)
+    p_split = operations.add_parser("cluster-split")
+    p_split.add_argument("input", metavar="FILE")
+    p_split.add_argument("--k", type=int, required=True)
+    p_split.set_defaults(func=cmd_cluster_split)
+    p_step = operations.add_parser("induction-step")
+    p_step.add_argument("input", metavar="FILE")
+    p_step.add_argument("--r", type=int, required=True)
+    p_step.add_argument("--format", choices=("text", "json"), default="text")
+    p_step.set_defaults(func=cmd_induction_step)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -10,7 +10,6 @@ permutation block in the bottom middle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations
 
@@ -42,28 +41,8 @@ def pattern_P(r: int, c: int) -> Matrix01:
     return Matrix01.filled(r, c)
 
 
-@dataclass(frozen=True)
-class TrsParams:
-    """Parameters of the T family; members are (r+s+2) x (r+2s+2)."""
-
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError("r and s must be nonnegative")
-
-    @property
-    def member_rows(self) -> int:
-        return self.r + self.s + 2
-
-    @property
-    def member_cols(self) -> int:
-        return self.r + 2 * self.s + 2
-
-
 @cache
-def generate_T(params: TrsParams) -> PatternSet:
+def generate_T(r: int, s: int) -> PatternSet:
     """All members of the T family for the given (r, s), in a fixed order.
 
     Enumeration is lexicographic over the (left, middle, right) permutation
@@ -75,7 +54,8 @@ def generate_T(params: TrsParams) -> PatternSet:
     Families are cached: the result is frozen, and a refused (r, s) raises,
     so only the finitely many families within the limit are kept.
     """
-    r, s = params.r, params.s
+    if r < 0 or s < 0:
+        raise ValueError("r and s must be nonnegative")
     size = 1
     # ((s+1)!)^2 * r!, one factor at a time, so a huge r or s stops early
     for factor in chain(range(2, s + 2), range(2, s + 2), range(2, r + 1)):
@@ -85,7 +65,7 @@ def generate_T(params: TrsParams) -> PatternSet:
                 f"T({r},{s}) has ((s+1)!)^2*r! = over {T_FAMILY_LIMIT} members, "
                 f"past the {T_FAMILY_LIMIT}-member limit"
             )
-    rows, cols = params.member_rows, params.member_cols
+    rows, cols = r + s + 2, r + 2 * s + 2
     side = s + 1
     members = []
     for left in permutations(range(side)):

@@ -33,7 +33,7 @@ from .matrix import (
     contains_oracle,
     is_range_overlapping,
 )
-from .patterns import TrsParams, generate_T, pattern_L, pattern_P
+from .patterns import generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
     ex_columns,
@@ -55,7 +55,7 @@ DEFAULT_SEED = 20260809
 # A scaled trial count may not exceed this: 100x the largest default count.
 VERIFY_COUNT_LIMIT = 100_000
 
-DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
+DIAMOND = generate_T(1, 0).patterns[0]
 
 
 @dataclass
@@ -242,7 +242,7 @@ def claim_containment_agreement() -> list[ClaimResult]:
             Matrix01(2, 2, (0b01, 0b10)),
             Matrix01(2, 2, (0b10, 0b01)),
             pattern_P(3, 3),
-            generate_T(TrsParams(0, 0)).patterns[0],
+            generate_T(0, 0).patterns[0],
         ]
         exhaustive = 0
         for mask in range(1 << 9):
@@ -335,28 +335,23 @@ def claim_t_family() -> list[ClaimResult]:
     """Family size ((s+1)!)^2 * r!, fixed dimensions and weight, no duplicates;
     every member for (r,s) = (3,1) contains L3."""
     r_max, s_max = 3, 1
-    l3_family = generate_T(TrsParams(3, 1))
+    l3_family = generate_T(3, 1)
 
     def check():
         gen_failures = []
         for r in range(0, r_max + 1):
             for s in range(0, s_max + 1):
-                params = TrsParams(r, s)
-                fam = generate_T(params)
+                mats = generate_T(r, s).patterns
                 expected = factorial(s + 1) ** 2 * factorial(r)
-                mats = fam.patterns
                 ok = (
                     len(mats) == expected
                     and len(set(mats)) == expected
-                    and all(
-                        m.rows == params.member_rows and m.cols == params.member_cols
-                        for m in mats
-                    )
+                    and all((m.rows, m.cols) == (r + s + 2, r + 2 * s + 2) for m in mats)
                     and all(m.weight == 2 * r + 2 * s + 2 for m in mats)
                 )
                 if not ok:
                     gen_failures.append((r, s))
-        diamond_fam = generate_T(TrsParams(1, 0))
+        diamond_fam = generate_T(1, 0)
         if len(diamond_fam) != 1 or diamond_fam.patterns[0] != Matrix01.from_ones(
             3, 3, ((0, 1), (1, 0), (1, 2), (2, 1))
         ):
@@ -409,7 +404,7 @@ def claim_kvis(
         weight_failures = []
         random_checked = 0
         for r, s in ((2, 0), (1, 1), (3, 1)):
-            fam = generate_T(TrsParams(r, s))
+            fam = generate_T(r, s)
             for t in range(random_trials):
                 n = rng.choice((6, 9, 12))
                 if rng.random() < 0.3 and n <= 9:
@@ -487,10 +482,8 @@ def claim_induction() -> list[ClaimResult]:
     )
 
 
-def claim_boundary_and_monotone(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
-    """Boundary semantics of ex_columns and the weight floor ex(n,n,{M}) >= n.
-
-    The seed is only recorded: the boundary cases draw no random numbers."""
+def claim_boundary_and_monotone() -> list[ClaimResult]:
+    """Boundary semantics of ex_columns and the weight floor ex(n,n,{M}) >= n."""
     n_max = 5
     named = [
         pattern_P(1, 2),
@@ -502,7 +495,7 @@ def claim_boundary_and_monotone(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         pattern_L(1),
         pattern_L(2),
         pattern_L(3),
-        generate_T(TrsParams(0, 0)).patterns[0],
+        generate_T(0, 0).patterns[0],
     ]
 
     def check_boundary():
@@ -549,7 +542,7 @@ def claim_boundary_and_monotone(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         ("columns-boundary-cases",
          "k > m gives 0, low k gives unbounded, values never exceed the pigeonhole cap, "
          "values never increase with k",
-         {"seed": seed}),
+         {}),
     ) + _claims(
         check_floor,
         ("weight-at-least-n",
@@ -584,7 +577,7 @@ SUITES = {
         _scaled(40, scale), seed, (3, 4) if scale >= 0.5 else (3,)
     ),
     "induction": lambda scale, seed: claim_induction(),
-    "monotone": lambda scale, seed: claim_boundary_and_monotone(seed),
+    "monotone": lambda scale, seed: claim_boundary_and_monotone(),
 }
 
 SUITE_NAMES = tuple(SUITES)

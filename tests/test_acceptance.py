@@ -19,7 +19,7 @@ from exmat import (
     ex_columns,
     pattern_P,
 )
-from exmat.patterns import TrsParams, generate_T
+from exmat.patterns import generate_T
 from exmat.verify import (
     DEFAULT_SEED,
     claim_boundary_and_monotone,

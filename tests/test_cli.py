@@ -37,6 +37,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_refused(capsys, *argv):
+    """Run argv, which the argument parser refuses; return the exit code
+    and stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
 @pytest.fixture
 def p22_file(tmp_path):
     path = tmp_path / "p22.txt"
@@ -89,6 +99,18 @@ INDUCTION_STEP_JSON = {
 }
 
 
+# `generate` family -> a small answered argument list; its flags are exactly
+# the ones the family reads.
+GENERATE_ARGS = {
+    "L": ["--i", "1"],
+    "P": ["--r", "2", "--c", "2"],
+    "T": ["--r", "1", "--s", "0"],
+    "Kprime": ["--m", "4", "--k", "2"],
+    "pigeonhole": ["--m", "4", "--k", "2", "--c", "2"],
+    "lowerP": ["--m", "4", "--r", "2", "--k", "3"],
+}
+
+
 class TestGenerate:
     def test_diamond(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "T", "--r", "1", "--s", "0")
@@ -137,9 +159,33 @@ class TestGenerate:
             assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_missing_param_is_input_error(self, capsys):
-        code, _, err = run_cli(capsys, "generate", "P", "--r", "2")
+        code, err = run_refused(capsys, "generate", "P", "--r", "2")
         assert code == 2
-        assert "needs" in err
+        assert "the following arguments are required: --c" in err
+
+    @pytest.mark.parametrize("family", GENERATE_ARGS)
+    def test_each_family_reads_exactly_its_flags(self, capsys, family):
+        args = GENERATE_ARGS[family]
+        code, out, _ = run_cli(capsys, "generate", family, *args)
+        assert code == 0 and out
+        flags = args[::2]
+        pairs = list(zip(flags, args[1::2]))
+        for i, (drop, _) in enumerate(pairs):
+            kept = [a for pair in pairs[:i] + pairs[i + 1:] for a in pair]
+            code, err = run_refused(capsys, "generate", family, *kept)
+            assert code == 2 and f"the following arguments are required: {drop}" in err
+        extra = {"--i", "--r", "--s", "--c", "--m", "--k"} - set(flags)
+        for flag in sorted(extra):
+            code, err = run_refused(capsys, "generate", family, *args, flag, "2")
+            assert code == 2 and f"unrecognized arguments: {flag} 2" in err
+        if family != "lowerP":
+            code, err = run_refused(capsys, "generate", family, *args, "--format", "json")
+            assert code == 2 and "unrecognized arguments: --format json" in err
+
+    def test_negative_T_parameter_message(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "T", "--r", "-1", "--s", "0")
+        assert code == 2 and out == ""
+        assert err == "error: r and s must be nonnegative\n"
 
     @pytest.mark.parametrize("argv", [
         ["T", "--r", "6", "--s", "2"],
@@ -301,6 +347,14 @@ class TestCompute:
         assert lines[0] == "k,value,exact,nodes_explored"
         values = [ln.split(",")[1] for ln in lines[1:]]
         assert values == ["6", "1", "1", "0"]
+
+    def test_csv_needs_a_sweep(self, capsys, p22_file):
+        code, out, err = run_cli(
+            capsys, "compute", "columns", "--m", "3", "--k", "2",
+            "--pattern", p22_file, "--format", "csv",
+        )
+        assert code == 2 and out == ""
+        assert "--sweep" in err
 
     def test_bad_sweep_spec(self, capsys, p22_file):
         code, _, _ = run_cli(
@@ -508,7 +562,7 @@ RECORDED_CLAIMS_AT_SCALE_002 = {
     "cluster-split-weight-accounting": (
         {"count": 20, "size_max": 10, "ks": [2, 3], "seed": 20260809}, {"failures": []}),
     "columns-boundary-cases": (
-        {"seed": 20260809}, {"failures": [], "monotone_values": [float("inf"), 6, 1, 1, 0]}),
+        {}, {"failures": [], "monotone_values": [float("inf"), 6, 1, 1, 0]}),
     "columns-exact-formula": (
         {"m_max": 6, "k_max": 3, "cs": [2, 3]}, {"cases": 30, "failures": []}),
     "edge-count-bound": (
@@ -692,6 +746,24 @@ class TestTransform:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster-split", "--k", "2", "--format", "json"],
+        ["cluster-split", "--k", "2", "--r", "2"],
+        ["induction-step", "--r", "2", "--k", "2"],
+    ])
+    def test_unread_flag_is_refused(self, capsys, tmp_path, argv):
+        mat = tmp_path / "m.txt"
+        mat.write_text("1\n1\n1\n1\n")
+        code, err = run_refused(capsys, "transform", argv[0], str(mat), *argv[1:])
+        assert code == 2 and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("operation,flag", [("cluster-split", "--k"), ("induction-step", "--r")])
+    def test_missing_flag_is_refused(self, capsys, tmp_path, operation, flag):
+        mat = tmp_path / "m.txt"
+        mat.write_text("1\n1\n1\n1\n")
+        code, err = run_refused(capsys, "transform", operation, str(mat))
+        assert code == 2 and f"the following arguments are required: {flag}" in err
+
     @pytest.mark.parametrize("text,r", [("11\n11\n", 2), ("110\n101\n011\n", 1)])
     def test_induction_step_rejects_contained_block_and_small_r(self, capsys, tmp_path, text, r):
         mat = tmp_path / "m.txt"
@@ -720,6 +792,20 @@ def test_module_entry_point_runs():
     proc = run_python("-m", "exmat", "generate", "P", "--r", "1", "--c", "2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
+
+
+def test_parser_is_built_once_and_not_at_import():
+    code = (
+        "import contextlib, io, exmat.cli as cli\n"
+        "assert cli.build_parser.cache_info().currsize == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(3):\n"
+        "        cli.main(['generate', 'P', '--r', '1', '--c', '2'])\n"
+        "print(cli.build_parser.cache_info().misses)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 HUGE_ARGUMENTS = [

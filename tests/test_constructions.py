@@ -27,12 +27,12 @@ from exmat.constructions import (
     INDUCTION_STEP_LIMIT,
     PIGEONHOLE_COLUMN_LIMIT,
 )
-from exmat.patterns import TrsParams, generate_T
+from exmat.patterns import generate_T
 from exmat.verify import random_avoider
 
 from conftest import matrices
 
-DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
+DIAMOND = generate_T(1, 0).patterns[0]
 IDENT2 = Matrix01(2, 2, (0b01, 0b10))
 
 

@@ -23,12 +23,12 @@ from exmat import (
     pattern_P,
     transpose,
 )
-from exmat.patterns import TrsParams, generate_T
+from exmat.patterns import generate_T
 from exmat.search import _automaton, _cover_masks
 
 from conftest import matrices, small_patterns
 
-DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
+DIAMOND = generate_T(1, 0).patterns[0]
 IDENT2 = Matrix01(2, 2, (0b01, 0b10))
 
 
@@ -280,7 +280,7 @@ class TestTextFormat:
         assert parse_matrix(text).to_text() == text
 
     def test_pattern_set_round_trip(self):
-        ps = generate_T(TrsParams(1, 1))
+        ps = generate_T(1, 1)
         again = parse_pattern_set(format_pattern_set(ps))
         assert again == ps
 

@@ -28,11 +28,11 @@ from exmat import (
 import exmat.matrix as matrix_module
 import exmat.search as search_module
 import exmat.verify as verify_module
-from exmat.patterns import TrsParams, generate_T
+from exmat.patterns import generate_T
 
 from conftest import small_patterns
 
-DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
+DIAMOND = generate_T(1, 0).patterns[0]
 P22 = PatternSet.of(pattern_P(2, 2))
 
 

@@ -24,14 +24,14 @@ from exmat import (
     witness_is_exact,
 )
 from exmat.visibility import VisEdge
-from exmat.patterns import TrsParams, generate_T
+from exmat.patterns import generate_T
 from exmat.render import _MARGIN, _X_SCALE, layout_svg
 from exmat import verify
 from exmat.verify import greedy_avoider, random_avoider, random_layout
 
 from conftest import matrices
 
-DIAMOND = generate_T(TrsParams(1, 0)).patterns[0]
+DIAMOND = generate_T(1, 0).patterns[0]
 
 STACK = (Bar(1, 0, 11), Bar(2, 1, 10), Bar(3, 2, 9))
 
@@ -420,7 +420,7 @@ class TestMatrixReduction:
 
     def test_diamond_avoiders_generate_no_edges(self):
         rng = random.Random(8)
-        pset = generate_T(TrsParams(1, 0))
+        pset = generate_T(1, 0)
         for _ in range(60):
             n = rng.randint(3, 8)
             mat = random_avoider(rng, n, n, pset)
@@ -442,7 +442,7 @@ class TestMatrixReduction:
     @pytest.mark.parametrize("r,s", [(2, 0), (1, 1), (3, 1)])
     def test_multiplicity_bound_on_avoiders(self, r, s):
         rng = random.Random(100 * r + s)
-        fam = generate_T(TrsParams(r, s))
+        fam = generate_T(r, s)
         for _ in range(15):
             n = rng.choice((6, 8, 10))
             mat = greedy_avoider(rng, n, n, fam) if rng.random() < 0.4 else random_avoider(
@@ -456,7 +456,7 @@ class TestMatrixReduction:
 class TestWeightBound:
     def test_identity_passes(self):
         ident = Matrix01.from_ones(6, 6, [(i, i) for i in range(6)])
-        assert avoids_all(ident, generate_T(TrsParams(1, 0)))
+        assert avoids_all(ident, generate_T(1, 0))
         assert ident.weight <= avoider_weight_bound(6, 1, 0) == 24
 
     def test_small_hosts_cannot_contain_and_still_fit_bound(self):
@@ -472,7 +472,7 @@ class TestWeightBound:
     def test_greedy_avoiders_stay_within_bound(self):
         rng = random.Random(55)
         for r, s in ((1, 0), (2, 0), (1, 1)):
-            fam = generate_T(TrsParams(r, s))
+            fam = generate_T(r, s)
             for n in (5, 8, 11):
                 mat = greedy_avoider(rng, n, n, fam)
                 assert avoids_all(mat, fam)
@@ -485,7 +485,7 @@ class TestGreedyAvoider:
         # it avoids every member, and a one on any of its zero cells would
         # complete a member
         rng = random.Random(300 + 10 * r + s)
-        fam = generate_T(TrsParams(r, s))
+        fam = generate_T(r, s)
         for _ in range(40):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             mat = greedy_avoider(rng, rows, cols, fam)
