@@ -27,7 +27,6 @@ from .patterns import generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
     ExtremalResult,
-    check_column_bound_from_linear_weight,
     ex_columns,
     ex_weight,
     ex_weight_oracle,

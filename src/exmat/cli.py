@@ -1,8 +1,9 @@
 """Command-line surface: compute, generate, verify, render, transform.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exhausted.  Each `generate` family and `transform` operation has its own
-parser, which requires the flags it reads and refuses any other.  JSON
+exhausted.  Each `compute` kind, `generate` family and `transform`
+operation has its own parser, which refuses any flag it does not read; the
+`generate` and `transform` parsers require all of theirs.  JSON
 records carry a "schema": "1" field; CSV sweeps start with a header row.
 All commands are deterministic for identical inputs and flags.
 """
@@ -55,6 +56,9 @@ DEFAULT_CLI_BUDGET = 5_000_000
 
 # A --sweep range may hold at most this many points; each is one query.
 SWEEP_POINT_LIMIT = 1024
+
+# `compute` kind -> the size flags it reads; a --sweep may stand in for one.
+COMPUTE_FLAGS = {"weight": ("m", "n"), "columns": ("m", "k")}
 
 # `generate` family -> the int flags it reads, all required.
 GENERATE_FLAGS = {
@@ -110,13 +114,11 @@ def cmd_compute(args) -> int:
     budget = args.budget if args.budget > 0 else None
     base_query = {
         "kind": args.kind,
-        "m": args.m,
-        "n": args.n,
-        "k": args.k,
+        **{f: getattr(args, f, None) for f in ("m", "n", "k")},
         "patterns": list(args.pattern),
     }
     sweep = _parse_sweep(args.sweep) if args.sweep else None
-    needed = ("m", "n") if args.kind == "weight" else ("m", "k")
+    needed = COMPUTE_FLAGS[args.kind]
     swept = sweep[0] if sweep else None
     if swept is not None and swept not in needed:
         raise ValueError(f"{args.kind} queries ignore {swept}; sweep one of " + ", ".join(needed))
@@ -232,6 +234,8 @@ def cmd_render(args) -> int:
             raise ValueError("matrix rendering needs --r and --s")
         matrix = parse_matrix(_read(args.input))
         layout, edges = matrix_to_visibility(matrix, args.r, args.s)
+    elif args.r is not None:
+        raise ValueError("--r needs --from-matrix; a layout has no r")
     else:
         layout = parse_layout(_read(args.input), args.s if args.s is not None else 0)
         edges = sweep_edges(layout)
@@ -277,14 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="extremal value of a query")
-    p_compute.add_argument("kind", choices=("weight", "columns"))
-    p_compute.add_argument("--pattern", action="append", required=True, metavar="FILE")
-    p_compute.add_argument("--m", type=int)
-    p_compute.add_argument("--n", type=int)
-    p_compute.add_argument("--k", type=int)
-    p_compute.add_argument("--budget", type=int, default=DEFAULT_CLI_BUDGET)
-    p_compute.add_argument("--sweep", metavar="VAR:LO:HI")
-    p_compute.add_argument("--format", choices=("json", "csv"), default="json")
+    kinds = p_compute.add_subparsers(dest="kind", required=True)
+    for kind, flags in COMPUTE_FLAGS.items():
+        p_kind = kinds.add_parser(kind)
+        p_kind.add_argument("--pattern", action="append", required=True, metavar="FILE")
+        for flag in flags:
+            p_kind.add_argument(f"--{flag}", type=int)
+        p_kind.add_argument("--budget", type=int, default=DEFAULT_CLI_BUDGET)
+        p_kind.add_argument("--sweep", metavar="VAR:LO:HI")
+        p_kind.add_argument("--format", choices=("json", "csv"), default="json")
     p_compute.set_defaults(func=cmd_compute)
 
     p_gen = sub.add_parser("generate", help="emit a named pattern or construction")

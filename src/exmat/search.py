@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations
 from math import comb
@@ -425,52 +424,3 @@ def ex_columns(
     witness = Matrix01.from_ones(m, len(best), [(r, j) for j, sel in enumerate(best) for r in sel])
     return ExtremalResult(len(best), witness, nodes, exact)
 
-
-# ---------------------------------------------------------------------------
-# finite-instance inequality checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearCertificateReport:
-    """From a verified bound exs(m,n,S) <= g_m + c*n follows exs_k <= g_m/(k-c)."""
-
-    m: int
-    k: int
-    c: int
-    g_m: int
-    checked_n: tuple[int, ...]
-    failed_n: tuple[int, ...]
-    column_value: int | float
-    bound: Fraction
-    holds: bool
-
-
-def check_column_bound_from_linear_weight(
-    patterns: PatternSet, m: int, k: int, c: int, g_m: int, n_values
-) -> LinearCertificateReport:
-    """Verify the linear weight certificate on n_values, then the column bound.
-
-    The chain exs_k * k <= exs(m, exs_k, S) <= g_m + c * exs_k needs the
-    certificate at n = exs_k(m, S), so that point is checked as well.
-    """
-    if k <= c:
-        raise ValueError(f"need k > c, got k={k}, c={c}")
-    col = ex_columns(m, k, patterns)
-    ns = sorted(set(int(n) for n in n_values))
-    if not col.unbounded and col.value >= 1 and col.value not in ns:
-        ns.append(int(col.value))
-        ns.sort()
-    failed = []
-    for n in ns:
-        if m * n <= ORACLE_CELL_LIMIT:
-            w = ex_weight_oracle(m, n, patterns).value
-        else:
-            w = ex_weight(m, n, patterns).value
-        if w > g_m + c * n:
-            failed.append(n)
-    bound = Fraction(g_m, k - c)
-    holds = not failed and not col.unbounded and col.value <= bound
-    return LinearCertificateReport(
-        m, k, c, g_m, tuple(ns), tuple(failed), col.value, bound, holds
-    )

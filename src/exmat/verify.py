@@ -30,7 +30,6 @@ from .matrix import (
     SizeLimitError,
     avoids_all,
     contains,
-    contains_oracle,
     is_range_overlapping,
 )
 from .patterns import generate_T, pattern_L, pattern_P
@@ -217,48 +216,6 @@ def claim_edge_bounds(trials: int = 1000, seed: int = DEFAULT_SEED) -> list[Clai
         ("sweep-oracle-agreement",
          "sweep enumeration equals gap-by-gap subset testing (members and multiplicities)",
          {"trials": trials, "oracle_n_max": oracle_n_max, "seed": seed}),
-    )
-
-
-def claim_containment_agreement() -> list[ClaimResult]:
-    """contains() agrees with plain enumeration on random and exhaustive inputs."""
-    pairs, seed = 10000, DEFAULT_SEED
-
-    def check():
-        rng = random.Random(seed)
-        mismatches = 0
-        for _ in range(pairs):
-            hm, hn = rng.randint(1, 8), rng.randint(1, 8)
-            pm, pn = rng.randint(1, 3), rng.randint(1, 4)
-            host = random_matrix(rng, hm, hn, rng.uniform(0.1, 0.9))
-            pat = random_matrix(rng, pm, pn, rng.uniform(0.2, 0.9))
-            if contains(host, pat) != contains_oracle(host, pat):
-                mismatches += 1
-        small_pats = [
-            pattern_P(2, 2),
-            pattern_P(1, 2),
-            pattern_P(2, 1),
-            DIAMOND,
-            Matrix01(2, 2, (0b01, 0b10)),
-            Matrix01(2, 2, (0b10, 0b01)),
-            pattern_P(3, 3),
-            generate_T(0, 0).patterns[0],
-        ]
-        exhaustive = 0
-        for mask in range(1 << 9):
-            host = Matrix01(3, 3, tuple((mask >> (3 * r)) & 0b111 for r in range(3)))
-            for pat in small_pats:
-                exhaustive += 1
-                if contains(host, pat) != contains_oracle(host, pat):
-                    mismatches += 1
-        observed = {"pairs": pairs, "exhaustive": exhaustive, "mismatches": mismatches}
-        return [(mismatches == 0, observed)]
-
-    return _claims(
-        check,
-        ("containment-agreement",
-         "pruned containment equals exhaustive subset enumeration",
-         {"pairs": pairs, "seed": seed}),
     )
 
 

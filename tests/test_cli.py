@@ -395,6 +395,14 @@ class TestCompute:
         assert code == 2
         assert out == "" and f"ignore {ignored}" in err
 
+    @pytest.mark.parametrize(
+        "kind,sizes,unread",
+        [("weight", ("--m", "3", "--n", "3"), "--k"), ("columns", ("--m", "3", "--k", "2"), "--n")],
+    )
+    def test_unread_size_flag_is_refused(self, capsys, p22_file, kind, sizes, unread):
+        code, err = run_refused(capsys, "compute", kind, *sizes, "--pattern", p22_file, unread, "9")
+        assert code == 2 and f"unrecognized arguments: {unread} 9" in err
+
     def test_negative_budget_is_input_error(self, capsys, p22_file):
         code, out, err = run_cli(
             capsys, "compute", "columns", "--m", "3", "--k", "2",
@@ -535,9 +543,18 @@ def test_compute_never_raises(tmp_path):
             path = tmp_path / f"pattern{i}.txt"
             path.write_text(text)
             argv = argv + ["--pattern", str(path)]
+        # the parser refuses, with exit 2, exactly the size flag the kind does
+        # not read; every other input reaches the command
+        unread = {"weight": "--k", "columns": "--n"}[argv[1]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2 and out.getvalue() == ""
+                assert f"unrecognized arguments: {unread} " in err.getvalue()
+                return
+        assert unread not in argv
         assert code in (0, 2, 3)
         if code == 3:
             # exit 3 means only a spent budget: a result with a cut row
@@ -669,6 +686,13 @@ class TestRender:
         lay.write_text("1 0 11\n2 1 10\n3 2 9\n")
         _, out, _ = run_cli(capsys, "render", str(lay), "--s", "0", "--no-witnesses")
         assert "<line" not in out
+
+    def test_r_needs_from_matrix(self, capsys, tmp_path):
+        lay = tmp_path / "bars.txt"
+        lay.write_text("1 0 11\n2 1 10\n3 2 9\n")
+        code, out, err = run_cli(capsys, "render", str(lay), "--s", "0", "--r", "5")
+        assert code == 2 and out == ""
+        assert err == "error: --r needs --from-matrix; a layout has no r\n"
 
     def test_matrix_input_runs_reduction(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
@@ -927,25 +951,12 @@ def test_layout_with_distinct_denominators_renders_at_once(tmp_path):
     assert proc.stdout.startswith("<svg") and proc.stdout.count("<rect") == n
 
 
-SCRIPT_HEADERS = {
-    "column_extremal_sweep.py": ["m,k,c,value,closed_form,match,nodes,seconds"],
-    "visibility_experiment.py": [
-        "== edge counts vs (2s+3)n ==", "== greedy avoider weight vs closed-form bound =="
-    ],
-}
-
-
-@pytest.mark.parametrize(
-    "script,args",
-    [
-        ("column_extremal_sweep.py", ["--max-m", "3"]),
-        ("visibility_experiment.py", ["--trials", "5", "--max-n", "5"]),
-    ],
-)
-def test_scripts_run_at_tiny_sizes(script, args):
-    proc = run_python(str(ROOT / "scripts" / script), *args)
+def test_visibility_experiment_runs_at_tiny_sizes():
+    proc = run_python(
+        str(ROOT / "scripts" / "visibility_experiment.py"), "--trials", "5", "--max-n", "5"
+    )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     # every section prints rows under its header
-    for head in SCRIPT_HEADERS[script]:
+    for head in ("== edge counts vs (2s+3)n ==", "== greedy avoider weight vs closed-form bound =="):
         assert lines.index(head) + 1 < len(lines)

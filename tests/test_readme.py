@@ -1,10 +1,52 @@
 import re
+import shlex
+from itertools import product
 from pathlib import Path
 
+import pytest
+
+from exmat.cli import GENERATE_FLAGS, build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+FENCED = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.S | re.M)
+BLOCKS = [body for lang, body in FENCED if not lang]
 
 
 def test_quick_example_runs():
     # the README's one Python block asserts the values it shows
-    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    (block,) = [body for lang, body in FENCED if lang == "python"]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def readme_commands():
+    """The argv of every `exmat ...` line in the README's plain code blocks
+    and of each `# or: ...` form in their comments, with each [bracketed]
+    option group both present and absent."""
+    forms = []
+    for line in "\n".join(BLOCKS).splitlines():
+        if line.startswith("exmat "):
+            command, _, comment = line.partition("#")
+            forms.append(command.removeprefix("exmat "))
+            if comment.strip().startswith("or:"):
+                forms.append(comment.strip().removeprefix("or:"))
+    argvs = []
+    for form in forms:
+        groups = re.findall(r"\[(.*?)\]", form)
+        for keep in product((True, False), repeat=len(groups)):
+            kept = iter(keep)
+            argvs.append(shlex.split(re.sub(r"\[(.*?)\]", lambda g: g[1] if next(kept) else "", form)))
+    return argvs
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_cli_examples_parse(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"exmat {' '.join(argv)} exits {exc.code} in the parser")
+
+
+def test_cli_block_names_every_generate_family():
+    (line,) = [line for block in BLOCKS for line in block.splitlines() if "# also:" in line]
+    shown = shlex.split(line)[2]
+    assert {shown, *line.split("# also:")[1].strip().split(", ")} == set(GENERATE_FLAGS)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb, inf
 
@@ -13,7 +12,6 @@ from exmat import (
     PatternSet,
     SizeLimitError,
     avoids_all,
-    check_column_bound_from_linear_weight,
     contains_oracle,
     ex_columns,
     ex_weight,
@@ -618,33 +616,3 @@ class TestInequalityReports:
 
     def test_monotone_in_k(self):
         assert [ex_columns(4, k, P22).value for k in range(1, 6)] == [inf, 6, 1, 1, 0]
-
-    def test_linear_certificate_example(self):
-        # fit g from oracle values of the 3-row weight extremal function
-        ns = range(1, 6)
-        c = 2
-        g = max(ex_weight_oracle(3, n, P22).value - c * n for n in ns)
-        rep = check_column_bound_from_linear_weight(P22, 3, 3, c, g, ns)
-        assert not rep.failed_n
-        assert rep.column_value == 1
-        assert rep.bound == Fraction(g, 1)
-        assert rep.holds
-
-    def test_linear_certificate_tight_fit(self):
-        # the slope-1 fit gives g = 3 and the k = 2 bound 3/(2-1) is attained
-        ns = range(1, 6)
-        g = max(ex_weight_oracle(3, n, P22).value - n for n in ns)
-        rep = check_column_bound_from_linear_weight(P22, 3, 2, 1, g, ns)
-        assert not rep.failed_n
-        assert rep.column_value == 3
-        assert rep.bound == Fraction(3, 1)
-        assert rep.holds
-
-    def test_linear_certificate_requires_k_above_c(self):
-        with pytest.raises(ValueError):
-            check_column_bound_from_linear_weight(P22, 3, 2, 2, 1, [1, 2])
-
-    def test_linear_certificate_reports_failing_n(self):
-        rep = check_column_bound_from_linear_weight(P22, 3, 3, 0, 0, [1, 2, 3])
-        assert rep.failed_n
-        assert not rep.holds
