@@ -1,7 +1,7 @@
 """Exact desk-scale computations for forbidden 0-1 matrix patterns.
 
 The package computes weight and column extremal values of 0-1 matrices
-avoiding fixed patterns (exact branch-and-bound plus independent brute
+avoiding fixed patterns (exact automaton searches plus independent brute
 oracles), generates the named pattern families and lower-bound
 constructions used to certify those values, and reduces matrices to bar
 visibility hypergraphs with exact rational sweep geometry.

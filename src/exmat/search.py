@@ -1,13 +1,14 @@
-"""Exact weight and column extremal values by pruned exhaustive search.
+"""Exact weight and column extremal values by exhaustive search.
 
 ex_weight(m, n, S) is the maximum number of ones in an m x n 0-1 matrix
 avoiding every pattern in S; ex_columns(m, k, S) is the maximum number of
-columns of an m-row matrix with at least k ones per column avoiding S.  Both
-are branch and bound that test only the containment an extension can create,
-and neither runs a containment search once its boundary cases and seeds are
-settled.  Every checked pattern is an automaton, built by _automaton, whose
-state records, per subset of host lines, how many pattern lines the greedy
-match has placed.  ex_columns appends a column of exactly k ones, the
+columns of an m-row matrix with at least k ones per column avoiding S.
+ex_weight is branch and bound; ex_columns is a longest path over automaton
+states, memoized on the state.  Both test only the containment an extension
+can create, and neither runs a containment search once its boundary cases
+and seeds are settled.  Every checked pattern is an automaton, built by
+_automaton, whose state records, per subset of host lines, how many pattern
+lines the greedy match has placed.  ex_columns appends a column of exactly k ones, the
 sorted tuple of its rows, at a time: the automaton runs over row subsets.
 ex_weight sets a cell at a time in row-major order: the automaton runs over
 column subsets and advances once per finished row, and a cell set to 1 is
@@ -26,8 +27,9 @@ Boundary semantics for ex_columns, one finiteness rule:
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
-bound.  Both searches run on one explicit-stack driver, so their depth is
-limited by memory, not by Python's recursion limit.  A column query whose
+bound; so does an ex_columns walk stopped at COLUMN_MEMO_LIMIT.  Both
+searches run on one explicit-stack driver, so their depth is limited by
+memory, not by Python's recursion limit.  A column query whose
 C(m, k) candidates and C(m, cert_rows) support slots number more than
 COLUMN_CANDIDATE_LIMIT is refused with SizeLimitError, and so is any query
 whose table, times the masks as wide as it that the search keeps (the
@@ -38,7 +40,6 @@ MATRIX_CELL_LIMIT; _automaton applies that rule before it builds anything.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
@@ -67,15 +68,22 @@ ORACLE_CELL_LIMIT = 16
 # certificate's row subsets when k = m leaves a single candidate.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
 
+# ex_columns holds one memo entry per expanded state and stops as a cut
+# after this many, whatever its budget: without it {101/110} at m = 7 runs
+# an 8 GiB host out of memory.  At the limit it peaks near 360 MiB.
+COLUMN_MEMO_LIMIT = 1 << 21
+
 
 def _depth_first(root, budget: int | None) -> tuple[int, bool]:
     """Walk a search tree depth first with an explicit stack.
 
-    A node is a generator: it applies its cell or column, yields its child
-    nodes one at a time, and undoes the change once the last child is
-    done.  Nodes keep their own incumbent.  A node is counted when it is
-    entered; the walk stops without entering node budget+1.  The root is
-    entered like any child, from a one-item iterator.  Returns the node
+    A node is a generator that yields its child nodes one at a time and is
+    resumed once a child's subtree is done: an ex_weight node sets its cell
+    and undoes it after the last child, an ex_columns node stores its
+    state's run after the last one.  The searches keep their results
+    themselves.  A node is counted when it is entered; the walk stops
+    without entering node budget+1.  The root is entered like any child,
+    from a one-item iterator.  Returns the node
     count and whether the tree was walked to the end.
     """
     limit = math.inf if budget is None else budget
@@ -99,7 +107,8 @@ class ExtremalResult:
 
     value is an integer, or UNBOUNDED (math.inf).  exact=True means proven
     optimum; exact=False means best witness found within the node budget,
-    which is still a valid lower bound.
+    or for ex_columns within COLUMN_MEMO_LIMIT nodes, which is still a
+    valid lower bound.
     """
 
     value: int | float
@@ -346,24 +355,24 @@ def _automaton(lines: int, patterns, masks: int, query: str) -> tuple[int, int, 
     return block, state, ends, holds
 
 
-def ex_columns(
-    m: int,
-    k: int,
-    patterns: PatternSet,
-    budget: int | None = None,
-    shuffle_seed: int | None = None,
-) -> ExtremalResult:
+def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) -> ExtremalResult:
     """Maximum number of columns of an m-row matrix with >= k ones each
     avoiding the patterns.
 
     A column is the sorted tuple of its rows.  Turning ones into zeros
     never creates a containment, so every avoider trims to one with exactly
     k ones per column and the same number of columns; only the k-subsets of
-    rows are candidates.  They are appended left to right in lexicographic
-    order; shuffle_seed reorders them, which must not change the optimum.
-    Each column fills the C(k, cert_rows) support slots of _column_bound
-    among its rows, so no avoider has more than cap // C(k, cert_rows)
-    columns, and the search stops once its best one has that many.
+    rows are candidates.  Every allowed candidate moves an automaton bit up
+    a level (one that moved none could repeat forever, which the finiteness
+    rule excludes), so the states form a DAG and the value is its longest
+    path from the start state.  A node is a state: it walks the candidates
+    in lexicographic order and stores its longest run in the memo once all
+    are done.  Each column fills the C(k, cert_rows) support slots of
+    _column_bound among its rows, so no avoider has more than
+    cap // C(k, cert_rows) columns, and the walk stops once a path and its
+    run have that many.  Each node holds one memo entry, so the walk stops
+    as a cut after the smaller of budget and COLUMN_MEMO_LIMIT nodes, with
+    the longer of the best finished path and the path it stands on.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
@@ -393,34 +402,48 @@ def ex_columns(
     masks = f"{count} candidate columns" if k < m else f"{m} row masks"
     block, state, ends, holds = _automaton(m, checked, max(count, m), f"m={m}, k={k}: {masks}")
     candidates = list(combinations(range(m), k))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(candidates)
 
     last = sum(ends)
     table = list(zip(candidates, _cover_masks(holds, candidates)))
     top = cap // comb(k, cert_rows)
 
-    chosen: list[tuple[int, ...]] = []
-    best: list[tuple[int, ...]] = []
+    # run[st] = (length, first column, state after it) of the longest run
+    # that can follow state st; path holds the columns from the start to the
+    # node being walked, and best = (length, columns, st) the longest
+    # avoider a finished run has given: those columns, then run from st.
+    run: dict[int, tuple] = {}
+    path: list[tuple[int, ...]] = []
+    best = (0, (), state)
 
-    def node():
-        nonlocal best, state
-        if len(chosen) > len(best):
-            best = chosen.copy()
+    def node(st: int):
+        nonlocal best
+        here = (0, None, None)
         for sel, cov in table:
-            if len(best) == top:
-                return
-            hit = state & cov
+            hit = st & cov
             if hit & last:
                 continue
-            saved = state
-            state = state ^ hit | hit << block
-            chosen.append(sel)
-            yield node()
-            chosen.pop()
-            state = saved
+            nxt = st ^ hit | hit << block
+            if nxt not in run:
+                path.append(sel)
+                yield node(nxt)
+                path.pop()
+                if best[0] == top:
+                    return
+            size = run[nxt][0] + 1
+            if size > here[0]:
+                here = (size, sel, nxt)
+                if len(path) + size > best[0]:
+                    best = (len(path) + size, (*path, sel), nxt)
+                    if best[0] == top:
+                        return
+        run[st] = here
 
-    nodes, exact = _depth_first(node(), budget)
-    witness = Matrix01.from_ones(m, len(best), [(r, j) for j, sel in enumerate(best) for r in sel])
-    return ExtremalResult(len(best), witness, nodes, exact)
-
+    limit = COLUMN_MEMO_LIMIT if budget is None else min(budget, COLUMN_MEMO_LIMIT)
+    nodes, exact = _depth_first(node(state), limit)
+    size, columns, st = best if len(path) <= best[0] else (len(path), path, None)
+    columns = list(columns)
+    while (step := run.get(st)) and step[0]:
+        _, sel, st = step
+        columns.append(sel)
+    witness = Matrix01.from_ones(m, size, [(r, j) for j, sel in enumerate(columns) for r in sel])
+    return ExtremalResult(size, witness, nodes, exact)

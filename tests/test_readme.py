@@ -1,3 +1,4 @@
+import inspect
 import re
 import shlex
 from itertools import product
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import exmat
 from exmat.cli import GENERATE_FLAGS, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,3 +52,20 @@ def test_cli_block_names_every_generate_family():
     (line,) = [line for block in BLOCKS for line in block.splitlines() if "# also:" in line]
     shown = shlex.split(line)[2]
     assert {shown, *line.split("# also:")[1].strip().split(", ")} == set(GENERATE_FLAGS)
+
+
+def test_signatures_match_the_code():
+    # every backticked `name(params)` naming a callable exmat exports lists
+    # its parameters and defaults, so a dropped parameter cannot linger
+    shown = [
+        (name, [param.strip() for param in params.split(",")])
+        for name, params in re.findall(r"`(\w+)\(([^`()]*)\)`", README.read_text())
+        if callable(getattr(exmat, name, None))
+    ]
+    assert {"ex_columns", "generate_T"} <= {name for name, _ in shown}
+    for name, params in shown:
+        actual = [
+            p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in inspect.signature(getattr(exmat, name)).parameters.values()
+        ]
+        assert params == actual, name

@@ -387,12 +387,27 @@ class TestExColumns:
             with pytest.raises(ValueError, match="at least 1"):
                 ex_columns(m, k, P22)
 
-    def test_optimum_independent_of_candidate_order(self):
-        for seed in range(5):
-            base = ex_columns(4, 2, P22)
-            shuffled = ex_columns(4, 2, P22, shuffle_seed=seed)
-            assert base.value == shuffled.value
-            assert avoids_all(shuffled.witness, P22)
+    def test_value_is_invariant_under_reflection(self):
+        # reversing the rows or the columns of every pattern and of the host
+        # maps avoiders to avoiders, so ex_columns on S, flip_h(S) and
+        # flip_v(S) agree, though the automaton states the walk meets differ
+        rng = random.Random(27)
+        for _ in range(80):
+            pats = []
+            for _ in range(rng.randint(1, 2)):
+                rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+                bits = tuple(rng.randrange(1 << cols) for _ in range(rows))
+                pats.append(Matrix01(rows, cols, bits) if any(bits) else pattern_P(rows, cols))
+            m = rng.randint(1, 5)
+            k = rng.randint(1, min(3, m))
+            results = [
+                ex_columns(m, k, PatternSet(tuple(map(flip, pats))))
+                for flip in (lambda p: p, flip_h, flip_v)
+            ]
+            assert len({(res.value, res.exact) for res in results}) == 1, (pats, m, k)
+        # the frontier query reflected top to bottom walks as many states
+        res = ex_columns(6, 2, PatternSet(tuple(map(flip_v, B101_011))))
+        assert (res.value, res.nodes_explored, res.exact) == (20, 5034, True)
 
     def test_budget_gives_lower_bound(self):
         res = ex_columns(6, 3, PatternSet.of(pattern_P(3, 3)), budget=10)
@@ -445,13 +460,26 @@ class TestExColumns:
             assert all(bits.bit_count() == k for bits in res.witness.columns())
             assert not any(contains_oracle(res.witness, p) for p in pats)
 
-    def test_five_row_frontier_value(self):
-        # the frontier of the 5-row search: 14, proven over the ten
-        # two-row columns in about 1.8M nodes
-        res = ex_columns(5, 2, B101_011)
-        assert (res.value, res.nodes_explored, res.exact) == (14, 1777627, True)
-        assert res.witness.cols == 14
+    @pytest.mark.parametrize("m,value,states", [(4, 9, 66), (5, 14, 498), (6, 20, 5034), (7, 27, 66162)])
+    def test_frontier_value(self, m, value, states):
+        # the longest path over the automaton states of {101/011}; each node
+        # is one state.  The values fit C(m+1, 2) - 1, an observation only.
+        res = ex_columns(m, 2, B101_011)
+        assert (res.value, res.nodes_explored, res.exact) == (value, states, True)
+        assert res.witness.cols == value == comb(m + 1, 2) - 1
+        assert all(bits.bit_count() == 2 for bits in res.witness.columns())
         assert not any(contains_oracle(res.witness, p) for p in B101_011)
+
+    def test_memo_limit_stops_the_walk_as_a_cut(self, monkeypatch):
+        # each expanded state holds a memo entry, so the walk stops at the
+        # limit whether there is no budget or a larger one
+        monkeypatch.setattr(search_module, "COLUMN_MEMO_LIMIT", 50)
+        for budget in (None, 10**6):
+            res = ex_columns(6, 2, B101_011, budget=budget)
+            assert not res.exact and res.nodes_explored <= 51
+            assert res.value == res.witness.cols >= 1
+            assert all(bits.bit_count() == 2 for bits in res.witness.columns())
+            assert not any(contains_oracle(res.witness, p) for p in B101_011)
 
     def test_oversized_slot_list_is_refused(self):
         # 40 candidate columns, but C(40, 20) support slots
@@ -466,9 +494,11 @@ T10_01_10 = Matrix01.from_rows([[1, 0], [0, 1], [1, 0]])
 # (value, nodes_explored, exact, witness text) recorded before the two
 # searches moved onto the explicit-stack driver; a driver or pruning change
 # must not move them silently.  The columns entries pin the certificate's
-# pigeonhole bound and its automaton alone, shuffled and beside checked
-# patterns; their node counts and witnesses were recorded again when the
-# candidates became the k-subsets of rows, with every exact value kept.
+# pigeonhole bound and its automaton alone and beside checked patterns;
+# their node counts and witnesses were recorded again when the candidates
+# became the k-subsets of rows, and their node counts again when the search
+# became a memoized longest path, with every exact value and exact witness
+# kept.
 PINNED = [
     ("weight", (4, 4, P22, {}), (9, 5618, True, "1110\n1001\n0101\n0011")),
     ("weight", (4, 4, PatternSet.of(DIAMOND), {}),
@@ -483,14 +513,14 @@ PINNED = [
      (15, 16, True, "111110000000000\n100001111000000\n010001000111000\n"
       "001000100100110\n000100010010101\n000010001001011")),
     ("columns", (5, 2, B101_011, {"budget": 300}),
-     (8, 301, False, "11110100\n11000000\n00000111\n00011010\n00101001")),
+     (12, 301, False, "000000011111\n111010011000\n000011100100\n001101000010\n110100100001")),
     ("columns", (5, 3, PatternSet.of(pattern_P(3, 2)), {}),
      (10, 11, True, "1111110000\n1110001110\n1001101101\n0101011011\n0010110111")),
-    ("columns", (5, 2, P22, {"shuffle_seed": 3}),
-     (10, 11, True, "1001000101\n0111010000\n1000011010\n0100101100\n0010100011")),
+    # one node, cut before its first child: the path it stands on wins
+    ("columns", (5, 2, B101_011, {"budget": 1}), (1, 2, False, "1\n1\n0\n0\n0")),
     # an all-ones certificate beside a pattern that is still checked
     ("columns", (5, 2, PatternSet(P22.patterns + B101_011.patterns), {}),
-     (10, 5934, True, "1101001000\n0000001111\n0001110100\n0110100010\n1010010001")),
+     (10, 3018, True, "1101001000\n0000001111\n0001110100\n0110100010\n1010010001")),
     # an all-ones block that is not the certificate (3 rows > k)
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 2), pattern_P(3, 2)), {}),
      (10, 11, True, "1111000000\n1000111000\n0100100110\n0010010101\n0001001011")),
@@ -500,27 +530,28 @@ PINNED = [
       "00001100001100110011\n00000011000011001111")),
     # recorded before the slot cover table: a 3x3 certificate, so a row
     # subset's automaton level reaches its last block only on its second
-    # covering column, in candidate order, shuffled, and beside a pattern
-    # that is still checked
+    # covering column, alone and beside a pattern that is still checked
     ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {}),
      (20, 21, True, "11111111111100000000\n11111100000011111100\n11000011110011110011\n"
       "00110011001111001111\n00001100111100111111")),
-    ("columns", (5, 3, PatternSet.of(pattern_P(3, 3)), {"shuffle_seed": 5}),
-     (20, 21, True, "11111111000000111100\n11001111111111000000\n00110011001111001111\n"
-      "00111100110011110011\n11000000111100111111")),
+    # {101/011} reflected left to right, {101/110}: the same value from over
+    # 20 times as many states as {101/011} itself at m = 5
+    ("columns", (5, 2, PatternSet.of(flip_h(B101_011.patterns[0])), {}),
+     (14, 10591, True, "11111000000000\n10001111100000\n01000100111100\n00100010010111\n"
+      "00010001001011")),
     ("columns", (4, 2, PatternSet.of(pattern_P(2, 3), *B101_011), {}),
-     (9, 3600, True, "000001111\n001111100\n111100010\n110010001")),
+     (9, 1529, True, "000001111\n001111100\n111100010\n110010001")),
     # recorded before the column automaton: a checked 3-row pattern beside
-    # a 2-row certificate, two checked patterns in candidate order and
-    # shuffled, and checked patterns of two heights, shuffled
+    # a 2-row certificate, two checked patterns, and checked patterns of
+    # two heights
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 2), T10_01_10), {}),
-     (7, 2548, True, "1010101\n1100000\n0111000\n0001110\n0000011")),
+     (7, 352, True, "1010101\n1100000\n0111000\n0001110\n0000011")),
     ("columns", (4, 2, PatternSet.of(*B101_011, C110_011), {}),
-     (6, 757, True, "001111\n101100\n010010\n110001")),
-    ("columns", (5, 2, PatternSet.of(*B101_011, C110_011), {"shuffle_seed": 7}),
-     (8, 45817, True, "00001111\n01100010\n11100000\n00010001\n10011100")),
-    ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), T10_01_10, *B101_011), {"shuffle_seed": 2}),
-     (11, 9371, True, "00000001111\n00011001100\n00111110010\n11100100000\n11000010001")),
+     (6, 157, True, "001111\n101100\n010010\n110001")),
+    ("columns", (5, 2, PatternSet.of(*B101_011, C110_011), {}),
+     (8, 2532, True, "00011111\n10011000\n01000100\n00100010\n11100001")),
+    ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), T10_01_10, *B101_011), {}),
+     (11, 6661, True, "00000011111\n00110011000\n01111000100\n11001100010\n10000100001")),
     # a 1-row certificate at k = 2: each column fills C(2, 1) slots
     ("columns", (4, 2, PatternSet.of(pattern_P(1, 5)), {}),
      (8, 9, True, "11110000\n11110000\n00001111\n00001111")),
@@ -572,7 +603,7 @@ class TestPinnedCallCounts:
 
         monkeypatch.setattr(matrix_module, "contains", contains)
         assert ex_columns(6, 2, P22).nodes_explored == 16
-        assert ex_columns(5, 2, PatternSet(P22.patterns + B101_011.patterns)).nodes_explored == 5934
+        assert ex_columns(5, 2, PatternSet(P22.patterns + B101_011.patterns)).nodes_explored == 3018
         assert calls == []
 
 
