@@ -3,17 +3,16 @@
 ex_weight(m, n, S) is the maximum number of ones in an m x n 0-1 matrix
 avoiding every pattern in S; ex_columns(m, k, S) is the maximum number of
 columns of an m-row matrix with at least k ones per column avoiding S.
-ex_weight is branch and bound; ex_columns is a longest path over automaton
-states, memoized on the state.  Both test only the containment an extension
-can create, and neither runs a containment search once its boundary cases
-and seeds are settled.  Every checked pattern is an automaton, built by
-_automaton, whose state records, per subset of host lines, how many pattern
-lines the greedy match has placed.  ex_columns appends a column of exactly k ones, the
-sorted tuple of its rows, at a time: the automaton runs over row subsets.
-ex_weight sets a cell at a time in row-major order: the automaton runs over
-column subsets and advances once per finished row, and a cell set to 1 is
-tested against the zeros of its row.  What a candidate covers is one
-bitmask per query, so testing it takes a few ANDs.
+Both are longest paths over automaton states, memoized on the state, and
+test only the containment an extension can create: neither runs a
+containment search once its boundary cases and seeds are settled.  Every
+checked pattern is an automaton, built by _automaton, whose state records,
+per subset of host lines, how many pattern lines the greedy match has
+placed.  ex_columns appends a column of exactly k ones, the sorted tuple of
+its rows, at a time: the automaton runs over row subsets.  ex_weight sets a
+cell at a time in row-major order: the automaton runs over column subsets
+and advances once per finished row, and a cell set to 1 is tested against
+the zeros of its row.  A candidate's cover is one bitmask, tested by ANDs.
 
 Boundary semantics for ex_columns, one finiteness rule:
   * k > m: the value is 0 (no column can hold k ones).
@@ -27,7 +26,7 @@ Boundary semantics for ex_columns, one finiteness rule:
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
-bound; so does an ex_columns walk stopped at COLUMN_MEMO_LIMIT.  Both
+bound; so does a walk stopped at MEMO_LIMIT memo entries.  Both
 searches run on one explicit-stack driver, so their depth is limited by
 memory, not by Python's recursion limit.  A column query whose
 C(m, k) candidates and C(m, cert_rows) support slots number more than
@@ -68,22 +67,21 @@ ORACLE_CELL_LIMIT = 16
 # certificate's row subsets when k = m leaves a single candidate.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
 
-# ex_columns holds one memo entry per expanded state and stops as a cut
-# after this many, whatever its budget: without it {101/110} at m = 7 runs
-# an 8 GiB host out of memory.  At the limit it peaks near 360 MiB.
-COLUMN_MEMO_LIMIT = 1 << 21
+# Each search holds one memo entry per expanded state and stops as a cut after
+# this many, whatever its budget: without it ex_columns on {101/110} at m = 7
+# runs an 8 GiB host out of memory.  At the limit it peaks near 360 MiB.
+MEMO_LIMIT = 1 << 21
 
 
 def _depth_first(root, budget: int | None) -> tuple[int, bool]:
     """Walk a search tree depth first with an explicit stack.
 
     A node is a generator that yields its child nodes one at a time and is
-    resumed once a child's subtree is done: an ex_weight node sets its cell
-    and undoes it after the last child, an ex_columns node stores its
-    state's run after the last one.  The searches keep their results
-    themselves.  A node is counted when it is entered; the walk stops
-    without entering node budget+1.  The root is entered like any child,
-    from a one-item iterator.  Returns the node
+    resumed once a child's subtree is done: an ex_columns node, or an
+    ex_weight row start, stores its state's run after the last child.  The
+    searches keep their results themselves.  A node is counted when it is
+    entered; the walk stops without entering node budget+1.  The root is
+    entered like any child, from a one-item iterator.  Returns the node
     count and whether the tree was walked to the end.
     """
     limit = math.inf if budget is None else budget
@@ -107,8 +105,7 @@ class ExtremalResult:
 
     value is an integer, or UNBOUNDED (math.inf).  exact=True means proven
     optimum; exact=False means best witness found within the node budget,
-    or for ex_columns within COLUMN_MEMO_LIMIT nodes, which is still a
-    valid lower bound.
+    or within MEMO_LIMIT memo entries, which is still a valid lower bound.
     """
 
     value: int | float
@@ -135,20 +132,22 @@ def _binomial_past(n: int, k: int, cap: int) -> int:
 def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -> ExtremalResult:
     """Maximum weight of an m x n matrix avoiding every pattern.
 
-    Cells are decided in row-major order, trying 1 before 0; a branch dies
-    as soon as its partial matrix contains a pattern or cannot beat the
-    incumbent.  The incumbent starts from the zero matrix, or the better of
-    a single all-ones column and a single all-ones row that avoids, so any
-    result, exact or budget-cut, is at least that seed's weight.
-
     Containment is the automaton over the host columns: its levels are
-    pattern rows and its subsets are column subsets.  states[r] is the
-    automaton after rows 0..r-1.  A pattern's z trailing zero rows get no
-    level, since a zero host row is never tested; its last nonzero row
-    counts in last[r] only while r + z <= m-1.  Every later cell of the
-    current row is still 0, so setting (r, c) completes a pattern iff a
-    subset at its last level lacks none of its row's columns among the
-    row's zeros and the columns after c.
+    pattern rows and its subsets are column subsets.  The greedy match is
+    exact, so the rows below depend only on the state at the start of their
+    row: a row start walks its rows a cell at a time, 1 before 0, each cell
+    a node, and stores its heaviest run.  A row dies once it completes a
+    pattern or cannot beat its row start's best so far: every run is exact.
+    A pattern's z trailing zero rows get no level, as a zero host row is
+    never tested; its last nonzero row counts in last[r] only if r + z < m.
+    Every later cell of the current row is still 0, so setting (r, c)
+    completes a pattern iff a subset at its last level lacks none of its
+    row's columns among the row's zeros and the columns after c.
+
+    Past MEMO_LIMIT row starts a new state counts as zero rows below, and
+    past budget nodes the walk stops.  Either is a cut, and returns the best
+    finished avoider, the rows the walk stands on above zero rows, or a
+    seed (the zero matrix, or an all-ones column or row), the heaviest.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -165,46 +164,63 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
             checked.append(Matrix01(height, p.cols, p.row_bits[:height]))
             tails.append(p.rows - height)
     block, state, ends, lacks = _automaton(n, checked, n, f"m={m}, n={n}: {n} columns")
-    best_m, best_w = Matrix01.zeros(m, n), 0
-    single_col = Matrix01(m, n, (1,) * m)
-    single_row = Matrix01(m, n, ((1 << n) - 1,) + (0,) * (m - 1))
-    for seed in (single_col, single_row):
-        if seed.weight > best_w and avoids_all(seed, patterns):
-            best_m, best_w = seed, seed.weight
-
+    # run[r][st] = (weight, row, state after it) of the heaviest rows r..m-1
+    # after state st; r = m, or a state refused past MEMO_LIMIT, is zero
+    # rows.  best = (weight, rows, st) ends likewise; path: the rows above.
+    run: list[dict[int, tuple]] = [{} for _ in range(m + 1)]
+    path: list[int] = []
+    best = (0, [], None)
+    for seed in (Matrix01(m, n, (1,) * m), Matrix01(m, n, ((1 << n) - 1,) + (0,) * (m - 1))):
+        if seed.weight > best[0] and avoids_all(seed, patterns):
+            best = (seed.weight, [*seed.row_bits], None)
     beyond = list(accumulate(lacks[:0:-1], or_, initial=0))[::-1]
     last = [sum(e for e, z in zip(ends, tails) if r + z < m) for r in range(m)]
     # A last level is met only in the last z rows, with no room left for the
     # zero rows; such a match stays put instead of moving into the next
     # pattern's blocks.
     lower = ~sum(ends)
-    states = [state] * m
+    states = 0
 
-    rows = [0] * m
-    total = m * n
+    def start(r: int, st: int, above: int):
+        nonlocal states
+        states += 1
+        if states > MEMO_LIMIT:
+            return
+        here, room = (0, 0, None), (m - 1 - r) * n
 
-    def node(t: int, w: int, zeros: int):
-        nonlocal best_m, best_w
-        if w + (total - t) <= best_w:
-            return
-        if t == total:
-            best_w = w
-            best_m = Matrix01(m, n, tuple(rows))
-            return
-        r, c = divmod(t, n)
-        if not c and r:
-            st = states[r - 1]
+        def cell(c: int, w: int, zeros: int, bits: int):
+            nonlocal best, here
+            if w + (n - c) + room <= here[0]:
+                return
+            if c < n:
+                if not st & last[r] & ~(zeros | beyond[c]):
+                    yield cell(c + 1, w + 1, zeros, bits | 1 << c)
+                yield cell(c + 1, w, zeros | lacks[c], bits)
+                return
             hit = st & ~zeros & lower
-            states[r] = st ^ hit | hit << block
-            zeros = 0
-        rows[r] |= 1 << c
-        if not states[r] & last[r] & ~(zeros | beyond[c]):
-            yield node(t + 1, w + 1, zeros)
-        rows[r] ^= 1 << c
-        yield node(t + 1, w, zeros | lacks[c])
+            nxt = st ^ hit | hit << block
+            if r + 1 < m and nxt not in run[r + 1]:
+                path.append(bits)
+                yield start(r + 1, nxt, above + w)
+                path.pop()
+            total = w + run[r + 1].get(nxt, (0,))[0]
+            if total > here[0]:
+                here = (total, bits, nxt)
+                if above + total > best[0]:
+                    best = (above + total, [*path, bits], nxt)
 
-    nodes, exact = _depth_first(node(0, 0, 0), budget)
-    return ExtremalResult(best_w, best_m, nodes, exact)
+        yield cell(0, 0, 0, 0)
+        run[r][st] = here
+
+    nodes, exact = _depth_first(start(0, state, 0), budget)
+    above = sum(map(int.bit_count, path))
+    weight, rows, st = best if above <= best[0] else (above, path, None)
+    while step := run[len(rows)].get(st):
+        _, bits, st = step
+        rows.append(bits)
+    run.clear()  # start's closure holds run in a cycle with start itself
+    witness = Matrix01(m, n, (*rows, *[0] * (m - len(rows))))
+    return ExtremalResult(weight, witness, nodes, exact and states <= MEMO_LIMIT)
 
 
 def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
@@ -371,7 +387,7 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
     _column_bound among its rows, so no avoider has more than
     cap // C(k, cert_rows) columns, and the walk stops once a path and its
     run have that many.  Each node holds one memo entry, so the walk stops
-    as a cut after the smaller of budget and COLUMN_MEMO_LIMIT nodes, with
+    as a cut after the smaller of budget and MEMO_LIMIT nodes, with
     the longer of the best finished path and the path it stands on.
     """
     if m < 1 or k < 1:
@@ -438,7 +454,7 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
                         return
         run[st] = here
 
-    limit = COLUMN_MEMO_LIMIT if budget is None else min(budget, COLUMN_MEMO_LIMIT)
+    limit = MEMO_LIMIT if budget is None else min(budget, MEMO_LIMIT)
     nodes, exact = _depth_first(node(state), limit)
     size, columns, st = best if len(path) <= best[0] else (len(path), path, None)
     columns = list(columns)
@@ -446,4 +462,5 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
         _, sel, st = step
         columns.append(sel)
     witness = Matrix01.from_ones(m, size, [(r, j) for j, sel in enumerate(columns) for r in sel])
+    run.clear()  # node's closure holds run in a cycle with node itself
     return ExtremalResult(size, witness, nodes, exact)

@@ -418,7 +418,7 @@ class TestCompute:
         )
         assert code == 0
         doc = json.loads(out)
-        assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (9, True, 5618)
+        assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (9, True, 1867)
 
     def test_deep_weight_search_is_budget_cut(self, capsys, p22_file):
         # 1,601 levels deep: crashed with RecursionError before the searches

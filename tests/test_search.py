@@ -111,7 +111,7 @@ class TestExWeight:
 
     # OEIS A072567: the Zarankiewicz numbers z(n; 2), the most ones in an
     # n x n matrix that avoids the all-ones 2 x 2 block.
-    @pytest.mark.parametrize("n,z", [(4, 9), (5, 12)])
+    @pytest.mark.parametrize("n,z", [(4, 9), (5, 12), (6, 16)])
     def test_zarankiewicz_numbers(self, n, z):
         res = ex_weight(n, n, P22)
         assert res.exact and res.value == z
@@ -146,6 +146,29 @@ class TestExWeight:
         for pat in (pattern_P(2, 1), pattern_P(1, 2), DIAMOND, pattern_L(1)):
             res = ex_weight(4, 4, PatternSet.of(pat), budget=20000)
             assert res.value >= 4
+
+    @pytest.mark.parametrize(
+        "pat,value", [(DIAMOND, 20), (pattern_L(1), 24), (generate_T(1, 1).patterns[0], 30)],
+        ids=["diamond", "L1", "T11"],
+    )
+    def test_frontier_value(self, pat, value):
+        # exact at 6 x 6, and equal to the query transposed about the
+        # antidiagonal; about the main diagonal L1 walks 750,552 row starts
+        for image in (lambda p: p, lambda p: flip_h(flip_v(transpose(p)))):
+            res = ex_weight(6, 6, PatternSet.of(image(pat)))
+            assert res.exact and res.value == res.witness.weight == value
+            assert not contains_oracle(res.witness, image(pat))
+
+    def test_memo_limit_counts_row_starts(self, monkeypatch):
+        # the limit counts row starts, not cells: 5 x 5 P22 expands 1,663 of
+        # them in 43,540 nodes, so one fewer is a cut, budget or not
+        for limit, exact in ((1663, True), (1662, False), (20, False)):
+            monkeypatch.setattr(search_module, "MEMO_LIMIT", limit)
+            for budget in (None, 10**6):
+                res = ex_weight(5, 5, P22, budget=budget)
+                assert res.exact == exact and res.nodes_explored < 10**6
+                assert res.witness.weight == res.value >= 5
+                assert not contains_oracle(res.witness, pattern_P(2, 2))
 
 
 class TestExWeightSymmetry:
@@ -473,7 +496,7 @@ class TestExColumns:
     def test_memo_limit_stops_the_walk_as_a_cut(self, monkeypatch):
         # each expanded state holds a memo entry, so the walk stops at the
         # limit whether there is no budget or a larger one
-        monkeypatch.setattr(search_module, "COLUMN_MEMO_LIMIT", 50)
+        monkeypatch.setattr(search_module, "MEMO_LIMIT", 50)
         for budget in (None, 10**6):
             res = ex_columns(6, 2, B101_011, budget=budget)
             assert not res.exact and res.nodes_explored <= 51
@@ -498,17 +521,19 @@ T10_01_10 = Matrix01.from_rows([[1, 0], [0, 1], [1, 0]])
 # their node counts and witnesses were recorded again when the candidates
 # became the k-subsets of rows, and their node counts again when the search
 # became a memoized longest path, with every exact value and exact witness
-# kept.
+# kept.  The weight entries' node counts were recorded again when ex_weight
+# became a memoized walk over row starts, every exact witness kept; the cut
+# one node short of exact moved with them, and the 6 x 6 cut rose from 11.
 PINNED = [
-    ("weight", (4, 4, P22, {}), (9, 5618, True, "1110\n1001\n0101\n0011")),
+    ("weight", (4, 4, P22, {}), (9, 1867, True, "1110\n1001\n0101\n0011")),
     ("weight", (4, 4, PatternSet.of(DIAMOND), {}),
-     (12, 1404, True, "1111\n1111\n1001\n1001")),
-    ("weight", (4, 4, PatternSet.of(DIAMOND), {"budget": 1403}),
-     (12, 1404, False, "1111\n1111\n1001\n1001")),
+     (12, 399, True, "1111\n1111\n1001\n1001")),
+    ("weight", (4, 4, PatternSet.of(DIAMOND), {"budget": 398}),
+     (12, 399, False, "1111\n1111\n1001\n1001")),
     ("weight", (5, 5, PatternSet.of(DIAMOND), {"budget": 50}),
      (16, 51, False, "11111\n11111\n10001\n10001\n10001")),
     ("weight", (6, 6, P22, {"budget": 2000}),
-     (11, 2001, False, "111111\n100000\n100000\n100000\n100000\n100000")),
+     (15, 2001, False, "111110\n100001\n010001\n001001\n000101\n000011")),
     ("columns", (6, 2, P22, {}),
      (15, 16, True, "111110000000000\n100001111000000\n010001000111000\n"
       "001000100100110\n000100010010101\n000010001001011")),
@@ -564,8 +589,8 @@ def test_pinned_values_and_node_counts(kind, args, expected):
     search = ex_weight if kind == "weight" else ex_columns
     res = search(a, b, pats, **options)
     assert (res.value, res.nodes_explored, res.exact, res.witness.to_text()) == expected
+    assert not any(contains_oracle(res.witness, p) for p in pats)
     if kind == "columns":
-        assert not any(contains_oracle(res.witness, p) for p in pats)
         assert all(bits.bit_count() == b for bits in res.witness.columns())
 
 
@@ -587,7 +612,7 @@ class TestPinnedCallCounts:
 
         monkeypatch.setattr(matrix_module, "contains", contains)
         monkeypatch.setattr(search_module, "_depth_first", walk)
-        assert ex_weight(4, 4, PatternSet.of(DIAMOND)).nodes_explored == 1404
+        assert ex_weight(4, 4, PatternSet.of(DIAMOND)).nodes_explored == 399
         assert walking and calls and not any(calls)
 
     def test_block_certificate_runs_no_column_check(self, monkeypatch):
