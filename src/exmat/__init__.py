@@ -27,6 +27,7 @@ from .patterns import generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
     ExtremalResult,
+    avoiders,
     ex_columns,
     ex_weight,
     ex_weight_oracle,

@@ -1,11 +1,13 @@
 """Deterministic SVG emission for bar layouts.
 
 Bars are horizontal rectangles ordered by y_rank (smallest rank on top);
-witness segments are vertical lines spanning their edge's member bars,
-and edges=None draws none.
-The same layout and edges always produce byte-identical output.  Bars stay
-rational; each x coordinate is the float of its exact offset from the
-leftmost endpoint, one correctly rounded int division, then scaled.
+witness segments are vertical lines from an edge's first member bar to its
+last, its top and bottom bars as members are listed top-first, and
+edges=None draws none.
+The same layout and edges always produce byte-identical output.  Bar ends
+stay exact (int or Fraction); each x coordinate is the float of its exact
+offset from the leftmost endpoint, one correctly rounded int division, then
+scaled.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None) -> str:
 
     p0, q0 = x_min.numerator, x_min.denominator
 
-    def sx(x: Fraction) -> float:
+    def sx(x: int | Fraction) -> float:
         # float(x - x_min) as one int true division, which rounds correctly,
         # so no Fraction is built
         p, q = x.numerator, x.denominator
@@ -55,8 +57,8 @@ def layout_svg(layout: BarLayout, edges: list[VisEdge] | None = None) -> str:
         f'viewBox="0 0 {width} {height}">'
     ]
     for edge in edges or ():
-        member_ys = [ys[i] for i in edge.members]
-        top, bottom = f"{min(member_ys):.3f}", f"{max(member_ys) + _BAR_HEIGHT:.3f}"
+        members = edge.members
+        top, bottom = f"{ys[members[0]]:.3f}", f"{ys[members[-1]] + _BAR_HEIGHT:.3f}"
         for wx in edge.witnesses:
             x = f"{sx(wx):.3f}"
             out.append(

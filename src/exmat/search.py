@@ -13,6 +13,8 @@ its rows, at a time: the automaton runs over row subsets.  ex_weight sets a
 cell at a time in row-major order: the automaton runs over column subsets
 and advances once per finished row, and a cell set to 1 is tested against
 the zeros of its row.  A candidate's cover is one bitmask, tested by ANDs.
+avoiders(m, n, S) runs ex_weight's row automaton a whole row at a time to
+list every m x n avoider of at most 16 cells without a containment search.
 
 Boundary semantics for ex_columns, one finiteness rule:
   * k > m: the value is 0 (no column can hold k ones).
@@ -39,6 +41,7 @@ MATRIX_CELL_LIMIT; _automaton applies that rule before it builds anything.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
@@ -138,11 +141,10 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     row: a row start walks its rows a cell at a time, 1 before 0, each cell
     a node, and stores its heaviest run.  A row dies once it completes a
     pattern or cannot beat its row start's best so far: every run is exact.
-    A pattern's z trailing zero rows get no level, as a zero host row is
-    never tested; its last nonzero row counts in last[r] only if r + z < m.
-    Every later cell of the current row is still 0, so setting (r, c)
-    completes a pattern iff a subset at its last level lacks none of its
-    row's columns among the row's zeros and the columns after c.
+    The automaton, with its rule for a completed pattern, is
+    _row_automaton's.  Every later cell of the current row is still 0, so
+    setting (r, c) completes a pattern iff a subset at its last level lacks
+    none of its row's columns among the row's zeros and the columns after c.
 
     Past MEMO_LIMIT row starts a new state counts as zero rows below, and
     past budget nodes the walk stops.  Either is a cut, and returns the best
@@ -152,18 +154,7 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     check_cells(m, n)
-    if not avoids_all(Matrix01.zeros(m, n), patterns):
-        raise ValueError(
-            "an all-zero pattern fits inside every host; no avoiding matrix exists"
-        )
-    # Every pattern that fits is nonzero here, so its nonzero rows are kept.
-    checked, tails = [], []
-    for p in dict.fromkeys(patterns):
-        if p.rows <= m and p.cols <= n:
-            height = max(a for a, bits in enumerate(p.row_bits) if bits) + 1
-            checked.append(Matrix01(height, p.cols, p.row_bits[:height]))
-            tails.append(p.rows - height)
-    block, state, ends, lacks = _automaton(n, checked, n, f"m={m}, n={n}: {n} columns")
+    block, state, lacks, last, lower = _row_automaton(m, n, patterns)
     # run[r][st] = (weight, row, state after it) of the heaviest rows r..m-1
     # after state st; r = m, or a state refused past MEMO_LIMIT, is zero
     # rows.  best = (weight, rows, st) ends likewise; path: the rows above.
@@ -174,11 +165,6 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
         if seed.weight > best[0] and avoids_all(seed, patterns):
             best = (seed.weight, [*seed.row_bits], None)
     beyond = list(accumulate(lacks[:0:-1], or_, initial=0))[::-1]
-    last = [sum(e for e, z in zip(ends, tails) if r + z < m) for r in range(m)]
-    # A last level is met only in the last z rows, with no room left for the
-    # zero rows; such a match stays put instead of moving into the next
-    # pattern's blocks.
-    lower = ~sum(ends)
     states = 0
 
     def start(r: int, st: int, above: int):
@@ -221,6 +207,78 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     run.clear()  # start's closure holds run in a cycle with start itself
     witness = Matrix01(m, n, (*rows, *[0] * (m - len(rows))))
     return ExtremalResult(weight, witness, nodes, exact and states <= MEMO_LIMIT)
+
+
+def _row_automaton(m: int, n: int, patterns) -> tuple[int, int, list[int], list[int], int]:
+    """(block, state, lacks, last, lower) of the automaton that ex_weight and
+    avoiders run over the rows of an m x n host.
+
+    Its levels are the rows of each pattern that fits, down to its last
+    nonzero row, and its subsets are column subsets (see _automaton):
+    lacks[c] marks the bits whose subset needs column c for its level, and
+    zeros(row) below is the OR of lacks[c] over the row's zero columns.  A
+    pattern's z trailing zero rows get no level, as a zero host row is never
+    tested; its last level counts in last[r] only if r + z < m.  Row r
+    completes a pattern iff st & last[r] & ~zeros(row) is nonzero; otherwise
+    it moves hit = st & ~zeros(row) & lower up one block, to
+    st ^ hit | hit << block.  A last level met only in the last z rows has no
+    room left for the zero rows, so `lower` keeps it in place instead of
+    moving it into the next pattern's blocks.  An all-zero pattern that fits
+    is refused with ValueError, as no host avoids it.
+    """
+    checked, tails = [], []
+    for p in dict.fromkeys(patterns):
+        if p.rows <= m and p.cols <= n:
+            height = max((a for a, bits in enumerate(p.row_bits) if bits), default=-1) + 1
+            if not height:
+                raise ValueError(
+                    "an all-zero pattern fits inside every host; no avoiding matrix exists"
+                )
+            checked.append(Matrix01(height, p.cols, p.row_bits[:height]))
+            tails.append(p.rows - height)
+    block, state, ends, lacks = _automaton(n, checked, n, f"m={m}, n={n}: {n} columns")
+    last = [sum(e for e, z in zip(ends, tails) if r + z < m) for r in range(m)]
+    return block, state, lacks, last, ~sum(ends)
+
+
+def avoiders(m: int, n: int, patterns: PatternSet) -> Iterator[tuple[int, ...]]:
+    """A generator of the row tuple of every m x n matrix avoiding every
+    pattern, in lexicographic order of the tuples.
+
+    It walks the rows top-down over ex_weight's row automaton, so no
+    containment search runs: every prefix of rows that completes no pattern
+    is extended by each of the 2^n rows, and a row is refused when
+    st & last[r] & ~zeros(row) is nonzero.  All but the last row are
+    expanded here; the last is yielded lazily.  Like ex_weight_oracle it
+    enforces m*n <= 16 with SizeLimitError, and an all-zero pattern that fits
+    raises ValueError.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be at least 1")
+    if m * n > ORACLE_CELL_LIMIT:
+        raise SizeLimitError(f"{m}x{n} exceeds the {ORACLE_CELL_LIMIT}-cell oracle limit")
+    block, state, lacks, last, lower = _row_automaton(m, n, patterns)
+    # zeros[z] ORs lacks[c] over the columns c in z, one column at a time
+    zeros = [0] * (1 << n)
+    for z in range(1, 1 << n):
+        zeros[z] = zeros[z & z - 1] | lacks[(z & -z).bit_length() - 1]
+    full = (1 << n) - 1
+    covers = [~zeros[full ^ row] for row in range(1 << n)]
+    prefixes = [((), state)]
+    for r in range(m - 1):
+        prefixes = [
+            (rows + (row,), st ^ hit | hit << block)
+            for rows, st in prefixes
+            for row, cover in enumerate(covers)
+            if not st & last[r] & cover
+            for hit in (st & cover & lower,)
+        ]
+    return (
+        rows + (row,)
+        for rows, st in prefixes
+        for row, cover in enumerate(covers)
+        if not st & last[m - 1] & cover
+    )
 
 
 def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:

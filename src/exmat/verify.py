@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
 from math import comb, factorial, isfinite
 
 from .constructions import (
@@ -35,6 +34,7 @@ from .matrix import (
 from .patterns import generate_T, pattern_L, pattern_P
 from .search import (
     UNBOUNDED,
+    avoiders,
     ex_columns,
     ex_weight,
     ex_weight_oracle,
@@ -333,9 +333,11 @@ def claim_kvis(
 ) -> list[ClaimResult]:
     """Multiplicity below r on avoider-derived hypergraphs, plus the weight bound.
 
-    The exhaustive part decides each n x n host's avoidance once, with
-    `contains(host, DIAMOND)`, and checks every avoider for no edge and
-    weight at most the (1, 0) bound.
+    The exhaustive part enumerates the n x n diamond avoiders with
+    `avoiders`, so no containment search runs, and checks every one for no
+    edge and weight at most the (1, 0) bound.  A failing host is named by
+    its mask, whose bits r*n .. r*n+n-1 are row r; the first five in mask
+    order are reported.
     """
 
     def check_exhaustive():
@@ -343,16 +345,14 @@ def claim_kvis(
         checked_exhaustive = 0
         for n in exhaustive_n:
             bound = avoider_weight_bound(n, 1, 0)
-            # product varies its last item fastest, so reversed, its tuples
-            # run in mask order: row r is bits r*n .. r*n+n-1 of mask
-            for mask, rev in enumerate(product(range(1 << n), repeat=n)):
-                host = Matrix01(n, n, rev[::-1])
-                if contains(host, DIAMOND):
-                    continue
+            masks = []
+            for rows in avoiders(n, n, PatternSet.of(DIAMOND)):
                 checked_exhaustive += 1
+                host = Matrix01(n, n, rows)
                 _, edges = matrix_to_visibility(host, 1, 0)
                 if edges or host.weight > bound:
-                    no_edge_failures.append((n, mask))
+                    masks.append(sum(bits << r * n for r, bits in enumerate(rows)))
+            no_edge_failures += [(n, mask) for mask in sorted(masks)]
         return [_verdict(no_edge_failures[:5], checked=checked_exhaustive)]
 
     def check_random():

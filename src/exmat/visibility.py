@@ -23,9 +23,12 @@ witness segment through the next s+1 bars covering that column.  A
 per-row rational nudge of the bar ends keeps all endpoints distinct without
 changing which columns a bar covers.
 
-Bars stay exact rationals (Fractions) and every witness is a Fraction.  The
-sweep orders its endpoints by integer floor first and compares two Fractions
-only when their floors are equal; the oracle compares Fractions throughout.
+Bar ends and witnesses are exact rationals: an int or a Fraction, never a
+float.  An integer end stays an int, and every midpoint witness is one
+Fraction built from the ends' numerators and denominators.  The sweep
+orders its endpoints by integer floor first and compares two ends only
+when their floors are equal.  Every edge lists its members top-first: bar
+indices in increasing y_rank.
 """
 
 from __future__ import annotations
@@ -45,19 +48,23 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class Bar:
+    """A bar at height y_rank over [x_left, x_right].  An int or a Fraction
+    end is kept as given, both being exact; any other number becomes a
+    Fraction."""
+
     y_rank: int
-    x_left: Fraction
-    x_right: Fraction
+    x_left: int | Fraction
+    x_right: int | Fraction
 
     def __post_init__(self):
-        if type(self.x_left) is not Fraction:
+        if type(self.x_left) not in (int, Fraction):
             object.__setattr__(self, "x_left", Fraction(self.x_left))
-        if type(self.x_right) is not Fraction:
+        if type(self.x_right) not in (int, Fraction):
             object.__setattr__(self, "x_right", Fraction(self.x_right))
         if self.x_left >= self.x_right:
             raise LayoutError(f"bar needs x_left < x_right, got {self.x_left} >= {self.x_right}")
 
-    def covers(self, x: Fraction) -> bool:
+    def covers(self, x: int | Fraction) -> bool:
         return self.x_left <= x <= self.x_right
 
 
@@ -79,18 +86,19 @@ class BarLayout:
 
 @dataclass(frozen=True)
 class VisEdge:
-    """An edge (s+2 bar indices) plus one witness x per maximal realization
-    interval (for matrix-derived layouts: per witness column)."""
+    """An edge (s+2 bar indices, top-first: in increasing y_rank) plus one
+    witness x, an int or a Fraction, per maximal realization interval (for
+    matrix-derived layouts: per witness column)."""
 
     members: tuple[int, ...]
-    witnesses: tuple[Fraction, ...]
+    witnesses: tuple[int | Fraction, ...]
 
     @property
     def multiplicity(self) -> int:
         return len(self.witnesses)
 
 
-def witness_is_exact(layout: BarLayout, members, x: Fraction) -> bool:
+def witness_is_exact(layout: BarLayout, members, x: int | Fraction) -> bool:
     """A vertical segment at x through the member span meets exactly the members."""
     ys = [layout.bars[i].y_rank for i in members]
     lo, hi = min(ys), max(ys)
@@ -98,20 +106,26 @@ def witness_is_exact(layout: BarLayout, members, x: Fraction) -> bool:
     return met == set(members)
 
 
+def _midpoint(a: int | Fraction, b: int | Fraction) -> Fraction:
+    """(a + b) / 2 as one Fraction built from ints, exact for int ends too."""
+    p, q, p2, q2 = a.numerator, a.denominator, b.numerator, b.denominator
+    return Fraction(p * q2 + p2 * q, 2 * q * q2)
+
+
 def sweep_edges(layout: BarLayout) -> list[VisEdge]:
     """All distinct edges via the endpoint sweep, in first-seen order."""
     size = layout.s + 2
     bars = layout.bars
     # Endpoints are distinct, so (floor, x) orders them as x does, and two
-    # Fractions are compared only when their floors are equal.
+    # ends are compared only when their floors are equal.
     events = sorted(
         (x.numerator // x.denominator, x, kind, i)
         for i, b in enumerate(bars) for kind, x in ((0, b.x_left), (1, b.x_right))
     )
     heights: list[int] = []  # y_rank of the active bars, ascending
     active: list[int] = []  # their bar indices, in the same order
-    # Heights are distinct, so a window's indices in height order name its edge.
-    seen: dict[tuple[int, ...], list[Fraction]] = {}
+    # Heights are distinct, so a window's indices, top-first, name its edge.
+    seen: dict[tuple[int, ...], list[int | Fraction]] = {}
 
     for ei, (_, x, kind, bi) in enumerate(events):
         y = bars[bi].y_rank
@@ -126,14 +140,10 @@ def sweep_edges(layout: BarLayout) -> list[VisEdge]:
             if not windows:
                 continue
             # a window's bars all end later, so a next event exists
-            nxt = events[ei + 1][1]
-            p, q, p2, q2 = x.numerator, x.denominator, nxt.numerator, nxt.denominator
-            x = Fraction(p * q2 + p2 * q, 2 * q * q2)
+            x = _midpoint(x, events[ei + 1][1])
         for i in windows:
             seen.setdefault(tuple(active[i : i + size]), []).append(x)
-    return [
-        VisEdge(tuple(sorted(key)), tuple(wit)) for key, wit in seen.items()
-    ]
+    return [VisEdge(key, tuple(wit)) for key, wit in seen.items()]
 
 
 def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
@@ -148,7 +158,8 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
     covering it only.  A subset with a bar that misses the midpoint is not
     realized there, and a bar that misses it blocks nothing, so skipping
     both leaves the test of every (s+2)-subset unchanged; the covering bars
-    keep index order, so the subsets run in the same order as well.
+    keep index order, so the subsets run in the same order as well.  An
+    edge lists its members top-first, as sweep_edges does.
     """
     size = layout.s + 2
     bars = layout.bars
@@ -156,7 +167,7 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
     if n < size:
         return []
     ends = sorted([b.x_left for b in bars] + [b.x_right for b in bars])
-    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    mids = [_midpoint(a, b) for a, b in zip(ends, ends[1:])]
     seen: dict[frozenset, list[Fraction]] = {}
     prev: set[frozenset] = set()
     for x in mids:
@@ -175,7 +186,10 @@ def sweep_edges_oracle(layout: BarLayout) -> list[VisEdge]:
             if key not in prev:
                 seen.setdefault(key, []).append(x)
         prev = current
-    return [VisEdge(tuple(sorted(key)), tuple(wit)) for key, wit in seen.items()]
+    return [
+        VisEdge(tuple(sorted(key, key=lambda i: bars[i].y_rank)), tuple(wit))
+        for key, wit in seen.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +206,9 @@ def matrix_to_visibility(
     the last surviving one (1-based column coordinates), widened by
     row-dependent multiples of eps = 1/(2*rows+2) so that all endpoints are
     distinct while column coverage is unchanged.  Edge members are bar
-    indices; an edge's witnesses are the distinct columns anchoring it, so
-    its multiplicity is its witness-column count.
+    indices, top-first: the anchor's bar, then the bars below it.  An
+    edge's witnesses are the distinct columns anchoring it, so its
+    multiplicity is its witness-column count.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
@@ -250,7 +265,7 @@ def avoider_weight_bound(n: int, r: int, s: int) -> int:
 
 # ---------------------------------------------------------------------------
 # layout text format: one bar per line, "y_rank x_left x_right", coordinates
-# as integers or fractions "p/q".
+# as integers or fractions "p/q", parsed to an int or a Fraction.
 # ---------------------------------------------------------------------------
 
 
@@ -271,7 +286,7 @@ def parse_layout(text: str, s: int) -> BarLayout:
             bar = [int(parts[0])]
             for x in parts[1:]:
                 num, _, den = x.partition("/")
-                bar.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
+                bar.append(Fraction(int(num), int(den)) if den else int(num))
             bars.append(Bar(*bar))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad bar line {ln!r}: {exc}") from exc

@@ -11,6 +11,7 @@ from exmat import (
     Matrix01,
     PatternSet,
     SizeLimitError,
+    avoiders,
     avoids_all,
     contains_oracle,
     ex_columns,
@@ -239,6 +240,71 @@ class TestExWeightOracle:
 
     def test_oversized_pattern_gives_full_weight(self):
         assert ex_weight_oracle(2, 2, PatternSet.of(pattern_P(3, 3))).value == 4
+
+
+def oracle_avoiders(m, n, patterns):
+    """The row tuples of every m x n host that contains_oracle finds free of
+    every pattern, in mask order (row r is bits r*n .. r*n+n-1)."""
+    width = (1 << n) - 1
+    hosts = (
+        tuple(mask >> r * n & width for r in range(m)) for mask in range(1 << m * n)
+    )
+    return [
+        rows for rows in hosts
+        if not any(contains_oracle(Matrix01(m, n, rows), p) for p in patterns)
+    ]
+
+
+class TestAvoiders:
+    def test_matches_oracle_filtering_on_random_pattern_sets(self):
+        # patterns with zero rows (trailing ones included), patterns larger
+        # than the host and two-pattern sets, each on every host of at most
+        # 12 cells
+        rng = random.Random(29)
+        fixed = [
+            (2, 3, [Matrix01.from_rows([[1, 0], [0, 1], [0, 0]])]),
+            (3, 3, [Matrix01.from_rows([[1, 1], [0, 0]])]),
+            (3, 2, [Matrix01.from_rows([[1, 0, 1], [0, 1, 0]])]),
+            (2, 2, [pattern_P(3, 3)]),
+            (3, 4, [DIAMOND, Matrix01.from_rows([[1, 1, 1]])]),
+        ]
+        drawn = []
+        for _ in range(60):
+            m, n = rng.choice([(m, n) for m in range(1, 5) for n in range(1, 5) if m * n <= 12])
+            pats = []
+            for _ in range(rng.randint(1, 2)):
+                rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+                bits = [rng.randrange(1 << cols) for _ in range(rows)]
+                bits[rng.randrange(rows)] |= 1 << rng.randrange(cols)
+                pats.append(Matrix01(rows, cols, tuple(bits)))
+            drawn.append((m, n, pats))
+        for m, n, pats in fixed + drawn:
+            got = list(avoiders(m, n, PatternSet(tuple(pats))))
+            assert got == sorted(got)
+            assert sorted(got) == sorted(oracle_avoiders(m, n, pats))
+
+    def test_diamond_counts(self):
+        counts = [sum(1 for _ in avoiders(n, n, PatternSet.of(DIAMOND))) for n in (3, 4)]
+        assert counts == [480, 38784] and sum(counts) == 39264
+
+    def test_no_containment_search_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("avoiders ran a containment search")
+
+        monkeypatch.setattr(matrix_module, "contains", refuse)
+        assert sum(1 for _ in avoiders(3, 3, PatternSet.of(DIAMOND))) == 480
+
+    def test_refuses_sizes_above_the_cell_limit(self):
+        with pytest.raises(SizeLimitError, match="16-cell"):
+            avoiders(4, 5, P22)
+        with pytest.raises(SizeLimitError):
+            avoiders(17, 1, P22)
+        assert len(list(avoiders(1, 16, P22))) == 1 << 16
+
+    def test_refuses_a_fitting_all_zero_pattern(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            avoiders(2, 2, PatternSet.of(Matrix01.zeros(1, 2)))
+        assert len(list(avoiders(2, 2, PatternSet.of(Matrix01.zeros(3, 1))))) == 16
 
 
 class TestExColumns:
@@ -596,8 +662,8 @@ def test_pinned_values_and_node_counts(kind, args, expected):
 
 class TestPinnedCallCounts:
     def test_weight_runs_no_embedding_search_after_its_seeds(self, monkeypatch):
-        # the zero matrix and the canonical seeds are checked with contains;
-        # once the walk starts, the row automaton decides every cell
+        # the canonical seeds are checked with contains; once the walk
+        # starts, the row automaton decides every cell
         calls = []
         walking = []
         real_contains, real_walk = matrix_module.contains, search_module._depth_first

@@ -88,16 +88,16 @@ def reference_reduction(matrix, r, s):
 
 def all_subsets_oracle(layout):
     """Every (s+2)-subset of all bars, with every other bar as a possible
-    blocker, tested at the midpoint of every gap between consecutive
+    blocker, tested at the exact midpoint of every gap between consecutive
     endpoints: the reference that `sweep_edges_oracle` must reproduce,
-    members, witnesses and order."""
+    members (top-first), witnesses and order."""
     size = layout.s + 2
     bars = layout.bars
     n = len(bars)
     if n < size:
         return []
     ends = sorted([b.x_left for b in bars] + [b.x_right for b in bars])
-    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    mids = [Fraction(a + b, 2) for a, b in zip(ends, ends[1:])]
     seen = {}
     prev = set()
     for x in mids:
@@ -120,7 +120,10 @@ def all_subsets_oracle(layout):
             if key not in prev:
                 seen.setdefault(key, []).append(x)
         prev = current
-    return [VisEdge(tuple(sorted(key)), tuple(wit)) for key, wit in seen.items()]
+    return [
+        VisEdge(tuple(sorted(key, key=lambda i: bars[i].y_rank)), tuple(wit))
+        for key, wit in seen.items()
+    ]
 
 
 class TestLayoutModel:
@@ -201,6 +204,52 @@ class TestSweep:
         for lay in (BarLayout(STACK, 0), BarLayout(STACK, 1)):
             assert sweep_edges_oracle(lay) == all_subsets_oracle(lay)
 
+    def test_int_ends_past_float_precision_keep_exact_witnesses(self):
+        # ends 10^18 + k are ints that no float tells apart, so a midpoint
+        # computed as (a + b) / 2 would be a float off the gap; the sweep and
+        # the oracle build every midpoint as a Fraction instead
+        rng = random.Random(53)
+        edges = 0
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            s = rng.randint(0, 2)
+            ends = rng.sample(range(10**18, 10**18 + 4 * n), 2 * n)
+            ys = rng.sample(range(3 * n), n)
+            lay = BarLayout(
+                tuple(Bar(y, *sorted(ends[2 * i : 2 * i + 2])) for i, y in enumerate(ys)), s
+            )
+            assert all(type(b.x_left) is int and type(b.x_right) is int for b in lay.bars)
+            swept, ref = sweep_edges(lay), sweep_edges_oracle(lay)
+            assert edge_map(swept) == edge_map(ref)
+            for e in swept + ref:
+                for w in e.witnesses:
+                    assert type(w) in (int, Fraction)
+                    assert witness_is_exact(lay, e.members, w)
+            edges += len(swept)
+        assert edges
+
+    def test_members_are_listed_top_first(self):
+        # random layouts number their bars out of height order, so index
+        # order and height order differ on many edges
+        rng = random.Random(29)
+        out_of_index_order = 0
+        for _ in range(80):
+            n = rng.randint(3, 9)
+            s = rng.randint(0, 2)
+            lay = random_layout(rng, n, s)
+            for e in sweep_edges(lay) + sweep_edges_oracle(lay):
+                ys = [lay.bars[i].y_rank for i in e.members]
+                assert ys == sorted(ys)
+                out_of_index_order += list(e.members) != sorted(e.members)
+        assert out_of_index_order
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            mat = Matrix01(n, n, tuple(rng.randrange(1 << n) for _ in range(n)))
+            lay, edges = matrix_to_visibility(mat, rng.randint(0, 2), rng.randint(0, 1))
+            for e in edges:
+                ys = [lay.bars[i].y_rank for i in e.members]
+                assert ys == sorted(ys)
+
     def test_edge_count_bound_and_witness_exactness(self):
         rng = random.Random(7)
         for _ in range(150):
@@ -270,6 +319,32 @@ class TestSvgCoordinates:
         assert drawn
 
 
+    def test_witnesses_span_from_the_top_member_to_the_bottom_one(self):
+        # bars 0..3 sit at heights 3, 1, 2, 4, so neither edge's lowest index
+        # is its top bar
+        bars = (Bar(3, 0, 9), Bar(1, 2, Fraction(13, 2)), Bar(2, 1, 7), Bar(4, Fraction(1, 2), 8))
+        lay = BarLayout(bars, 1)
+        edges = sweep_edges(lay)
+        assert [e.members for e in edges] == [(2, 0, 3), (1, 2, 0)]
+        assert layout_svg(lay, edges) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="310.000" height="120.000" '
+            'viewBox="0 0 310.000 120.000">\n'
+            '<line x1="50.000" y1="44.000" x2="50.000" y2="100.000" stroke="#c03030" '
+            'stroke-width="1.5"/>\n'
+            '<line x1="80.000" y1="20.000" x2="80.000" y2="76.000" stroke="#c03030" '
+            'stroke-width="1.5"/>\n'
+            '<rect x="20.000" y="68.000" width="270.000" height="8" fill="#305090" '
+            'stroke="#102040" stroke-width="1"/>\n'
+            '<rect x="80.000" y="20.000" width="135.000" height="8" fill="#305090" '
+            'stroke="#102040" stroke-width="1"/>\n'
+            '<rect x="50.000" y="44.000" width="180.000" height="8" fill="#305090" '
+            'stroke="#102040" stroke-width="1"/>\n'
+            '<rect x="35.000" y="92.000" width="225.000" height="8" fill="#305090" '
+            'stroke="#102040" stroke-width="1"/>\n'
+            "</svg>\n"
+        )
+
+
 class TestLayoutFormat:
     def test_round_trip(self):
         lay = BarLayout((Bar(1, Fraction(1, 2), 4), Bar(3, 1, Fraction(9, 2))), 1)
@@ -284,16 +359,18 @@ class TestLayoutFormat:
     @pytest.mark.parametrize(
         "text,bar",
         [
-            ("1 +3/4 2", (1, Fraction(3, 4), Fraction(2))),
-            ("1 -0/5 2", (1, Fraction(0), Fraction(2))),
+            ("1 +3/4 2", (1, Fraction(3, 4), 2)),
+            ("1 -0/5 2", (1, Fraction(0), 2)),
             ("1 -6/4 00/7", (1, Fraction(-3, 2), Fraction(0))),
-            ("-2 12/8 5", (-2, Fraction(3, 2), Fraction(5))),
+            ("-2 12/8 5", (-2, Fraction(3, 2), 5)),
+            ("3 -0 +007", (3, 0, 7)),
         ],
     )
     def test_coordinates_parse_to_their_values(self, text, bar):
+        # an integer token is an int and a p/q token a Fraction, both exact
         [parsed] = parse_layout(text, 0).bars
         assert (parsed.y_rank, parsed.x_left, parsed.x_right) == bar
-        assert type(parsed.x_left) is Fraction and type(parsed.x_right) is Fraction
+        assert [type(parsed.x_left), type(parsed.x_right)] == [type(x) for x in bar[1:]]
 
     @pytest.mark.parametrize(
         "text,message",
@@ -438,6 +515,34 @@ class TestMatrixReduction:
         monkeypatch.setattr(verify, "matrix_to_visibility", reduce)
         no_edges = verify.claim_kvis(random_trials=1, exhaustive_n=(3,))[0]
         assert no_edges.observed == {"checked": 480, "failures": [(3, 0b000_100_001)]}
+
+    def test_no_edges_claim_reports_the_first_failures_in_mask_order(self, monkeypatch):
+        # avoiders come in row order, top row first, where the mask's top
+        # row is its lowest bits; the claim sorts before it keeps five
+        def reduce(host, r, s):
+            lay, edges = matrix_to_visibility(host, r, s)
+            if host.row_bits[0] == 0b111:
+                edges = [VisEdge((0, 1), (Fraction(1),))]
+            return lay, edges
+
+        monkeypatch.setattr(verify, "matrix_to_visibility", reduce)
+        no_edges = verify.claim_kvis(random_trials=1, exhaustive_n=(3,))[0]
+        hosts = (Matrix01(3, 3, (7, low & 7, low >> 3)) for low in range(64))
+        first = [
+            (3, sum(bits << 3 * r for r, bits in enumerate(host.row_bits)))
+            for host in hosts if not contains_oracle(host, DIAMOND)
+        ][:5]
+        assert no_edges.observed == {"checked": 480, "failures": first}
+        assert [mask for _, mask in first] == [7, 15, 23, 31, 39]
+
+    def test_no_edges_claim_runs_no_containment_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the claim ran a containment search")
+
+        monkeypatch.setattr(verify, "contains", refuse)
+        monkeypatch.setattr(verify, "avoids_all", refuse)
+        no_edges = verify.claim_kvis(random_trials=0, exhaustive_n=(3, 4))[0]
+        assert no_edges.observed == {"checked": 39264, "failures": []}
 
     @pytest.mark.parametrize("r,s", [(2, 0), (1, 1), (3, 1)])
     def test_multiplicity_bound_on_avoiders(self, r, s):
