@@ -18,24 +18,27 @@ list every m x n avoider of at most 16 cells without a containment search.
 
 Boundary semantics for ex_columns, one finiteness rule:
   * k > m: the value is 0 (no column can hold k ones).
-  * some pattern has at most k rows in total: finite, and capped by
-    (cols-1) * C(m, rows) via pigeonhole on column supports.
+  * some pattern has r <= k rows and c columns: finite.  Each column holds
+    C(k, r) of the C(m, r) row r-subsets, and an r-subset in c columns
+    holds an r x c all-ones block, so (c-1) * C(m, r) / C(k, r)
+    = (c-1) * C(m, k) / C(m-r, k-r) caps the value.
   * otherwise, w the widest pattern's width, the value is unbounded iff,
     for some k-subset of rows, the m-row band host with ones exactly on
     those rows avoids every pattern at width w.  If none does, w columns
-    whose supports share k rows contain a band host, so (w-1) * C(m, k)
-    caps the value.  _band_hosts says which hosts decide it.
+    whose supports share k rows contain a band host, so the cap of an
+    r = k, c = w pattern holds.  _band_hosts says which hosts decide it.
+_column_cap takes the smallest of these caps.
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
 bound; so does a walk stopped at MEMO_LIMIT memo entries.  Both
 searches run on one explicit-stack driver, so their depth is limited by
-memory, not by Python's recursion limit.  A column query whose
-C(m, k) candidates and C(m, cert_rows) support slots number more than
-COLUMN_CANDIDATE_LIMIT is refused with SizeLimitError, and so is any query
-whose table, times the masks as wide as it that the search keeps (the
-larger of its candidates and its m rows, or its n columns), passes
-MATRIX_CELL_LIMIT; _automaton applies that rule before it builds anything.
+memory, not by Python's recursion limit.  A bounded column query with
+more than COLUMN_CANDIDATE_LIMIT candidate columns is refused with
+SizeLimitError, and so is any query whose table, times the masks as wide
+as it that the search keeps (the larger of its candidates and its m rows,
+or its n columns), passes MATRIX_CELL_LIMIT; _automaton applies that rule
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -63,11 +66,10 @@ UNBOUNDED = math.inf
 
 ORACLE_CELL_LIMIT = 16
 
-# ex_columns refuses queries whose C(m, k) candidate columns plus
-# C(m, cert_rows) support slots exceed this count, before it lists them: a
-# narrow table, such as a 1-row certificate's, would pass the table rule
-# with the C(20, 10) candidates of m = 20, k = 10.  The slots bound the
-# certificate's row subsets when k = m leaves a single candidate.
+# ex_columns refuses a bounded query with more than this many C(m, k)
+# candidate columns before it lists them: a narrow table, such as a 1-row
+# pattern's, would pass the table rule with the C(20, 10) candidates of
+# m = 20, k = 10.  Below it no column cap builds a binomial past it.
 COLUMN_CANDIDATE_LIMIT = 1 << 16
 
 # Each search holds one memo entry per expanded state and stops as a cut after
@@ -124,6 +126,8 @@ class ExtremalResult:
 def _binomial_past(n: int, k: int, cap: int) -> int:
     """C(n, k), or some number above cap when C(n, k) is: the product stops
     once a C(n, j) on the way passes cap, so no huge binomial is built."""
+    if k > n:
+        return 0
     value = 1
     for j in range(min(k, n - k)):
         value = value * (n - j) // (j + 1)
@@ -310,30 +314,30 @@ def ex_weight_oracle(m: int, n: int, patterns: PatternSet) -> ExtremalResult:
     return ExtremalResult(best_w, best, 1 << (m * n), True)
 
 
-def _column_bound(m: int, k: int, pats) -> tuple[int, int] | None:
-    """(cert_rows, cap) bounding the column search, or None when the value
-    is unbounded.  A chosen column fills one slot per cert_rows-subset of
-    its rows, and all of them fill at most cap slots.  The bound is the
-    smallest pigeonhole cap, the first on ties, or failing one the band
-    hosts' (k, (w-1)*C(m, k)); the module docstring derives both.
+def _column_cap(m: int, k: int, pats, count: int) -> int | None:
+    """The smallest cap of the module docstring on the columns of an
+    avoider, or None when the value is unbounded; count is C(m, k) from
+    _binomial_past.  A cap of 0 needs no candidate; any other is refused
+    with SizeLimitError past COLUMN_CANDIDATE_LIMIT candidates."""
+    if not count:  # k > m: no column holds k ones
+        return 0
+    bounds = [(p.rows, p.cols) for p in pats if p.rows <= k]
+    if not bounds:
+        if any(avoids_all(host, pats) for host in _band_hosts(m, k, pats, count)):
+            return None
+        bounds = [(k, max(p.cols for p in pats))]
+    if any(c == 1 for _, c in bounds):
+        return 0
+    if count > COLUMN_CANDIDATE_LIMIT:
+        raise SizeLimitError(
+            f"m={m}, k={k} needs more candidate columns than the limit {COLUMN_CANDIDATE_LIMIT}"
+        )
+    return min((c - 1) * count // comb(m - r, k - r) for r, c in bounds)
 
-    ex_columns refuses a certificate whose C(m, rows) passes its candidate
-    limit, so C(m, rows) stops once past (w-1) times it, w the widest
-    certificate: such a cap exceeds every cap within the limit, so the same
-    certificate is chosen, or one that is refused.
-    """
-    certs = [p for p in pats if p.rows <= k]
-    if certs:
-        past = (max(p.cols for p in certs) - 1) * COLUMN_CANDIDATE_LIMIT
-        caps = [(p.rows, (p.cols - 1) * _binomial_past(m, p.rows, past)) for p in certs]
-        return min(caps, key=lambda bound: bound[1])
-    if any(avoids_all(host, pats) for host in _band_hosts(m, k, pats)):
-        return None
-    return k, (max(p.cols for p in pats) - 1) * _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT)
 
-
-def _band_hosts(m: int, k: int, pats):
-    """The hosts whose avoidance decides that (m, k, pats) is unbounded.
+def _band_hosts(m: int, k: int, pats, count: int):
+    """The hosts whose avoidance decides that (m, k, pats) is unbounded,
+    count being C(m, k) as _binomial_past gives it.
 
     For a k-subset K of rows, the band host has ones exactly on the rows in
     K and is as wide as the widest pattern.  Its columns are all alike, so
@@ -359,7 +363,7 @@ def _band_hosts(m: int, k: int, pats):
 
     if m - k > (k + 1) * (depth - 1):
         yield from map(split, range(k + 1))
-    elif _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT) <= COLUMN_CANDIDATE_LIMIT:
+    elif count <= COLUMN_CANDIDATE_LIMIT:
         for band in combinations(range(m), k):
             rows = [0] * m
             for r in band:
@@ -441,31 +445,22 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
     rule excludes), so the states form a DAG and the value is its longest
     path from the start state.  A node is a state: it walks the candidates
     in lexicographic order and stores its longest run in the memo once all
-    are done.  Each column fills the C(k, cert_rows) support slots of
-    _column_bound among its rows, so no avoider has more than
-    cap // C(k, cert_rows) columns, and the walk stops once a path and its
-    run have that many.  Each node holds one memo entry, so the walk stops
-    as a cut after the smaller of budget and MEMO_LIMIT nodes, with
-    the longer of the best finished path and the path it stands on.
+    are done.  No avoider has more than _column_cap's `top` columns, and
+    the walk stops once a path and its run have that many.  Each node holds
+    one memo entry, so the walk stops as a cut after the smaller of budget
+    and MEMO_LIMIT nodes, with the longer of the best finished path and the
+    path it stands on.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
     pats = tuple(patterns)
-    if k > m:
-        return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
-    bound = _column_bound(m, k, pats)
-    if bound is None:
+    count = _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT)
+    top = _column_cap(m, k, pats, count)
+    if top is None:
         return ExtremalResult(UNBOUNDED, None, 0, True)
-    cert_rows, cap = bound
-    if cap == 0:
+    if top == 0:
         return ExtremalResult(0, Matrix01.zeros(m, 0), 0, True)
 
-    count = _binomial_past(m, k, COLUMN_CANDIDATE_LIMIT)
-    if count + _binomial_past(m, cert_rows, COLUMN_CANDIDATE_LIMIT) > COLUMN_CANDIDATE_LIMIT:
-        raise SizeLimitError(
-            f"m={m}, k={k} needs more candidate columns and support slots "
-            f"than the limit {COLUMN_CANDIDATE_LIMIT}"
-        )
     # A pattern taller than the host never embeds, so it is not checked; one
     # always fits: the bound came from a pattern with at most k <= m rows or
     # from band hosts of at most m rows that each hold a pattern.  Transposed,
@@ -479,7 +474,6 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
 
     last = sum(ends)
     table = list(zip(candidates, _cover_masks(holds, candidates)))
-    top = cap // comb(k, cert_rows)
 
     # run[st] = (length, first column, state after it) of the longest run
     # that can follow state st; path holds the columns from the start to the

@@ -207,8 +207,8 @@ def matrix_to_visibility(
     row-dependent multiples of eps = 1/(2*rows+2) so that all endpoints are
     distinct while column coverage is unchanged.  Edge members are bar
     indices, top-first: the anchor's bar, then the bars below it.  An
-    edge's witnesses are the distinct columns anchoring it, so its
-    multiplicity is its witness-column count.
+    edge's witnesses are the distinct 1-based columns anchoring it, as ints,
+    so its multiplicity is its witness-column count.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
@@ -233,7 +233,7 @@ def matrix_to_visibility(
     spans = [bits and (1 << bits.bit_length()) - (bits & -bits) for bits in rows]
     cover = _transpose(spans, matrix.cols)
 
-    seen: dict[tuple[int, ...], list[Fraction]] = {}
+    seen: dict[tuple[int, ...], list[int]] = {}
     for j, bits in enumerate(cols):
         for _ in range(bits.bit_count() - (s + 1)):  # the ones with s+1 ones below them
             low = bits & -bits
@@ -244,7 +244,7 @@ def matrix_to_visibility(
                 nxt = below & -below
                 members.append(bar_index[nxt.bit_length() - 1])
                 below ^= nxt
-            seen.setdefault(tuple(members), []).append(Fraction(j + 1))
+            seen.setdefault(tuple(members), []).append(j + 1)
     edges = [VisEdge(members, tuple(wit)) for members, wit in seen.items()]
     return BarLayout(tuple(bars), s), edges
 

@@ -868,7 +868,7 @@ HUGE_ARGUMENTS = [
      "sweep k:1:1000000000000 has 1000000000000 points, more than the limit 1024"),
     # the 500,000 x 2 block's cap is refused without building C(10^6, 5*10^5)
     (["compute", "columns", "--m", "1000000", "--k", "500000", "--pattern", "11\n" * 500000],
-     "m=1000000, k=500000 needs more candidate columns and support slots than the limit 65536"),
+     "m=1000000, k=500000 needs more candidate columns than the limit 65536"),
     # 4,096 columns would make a column graph of about 8.4M pairs
     (["transform", "induction-step", "1" * 4096 + "\n", "--r", "2"],
      "4096 columns exceed the induction limit 1024"),

@@ -37,7 +37,7 @@ P22 = PatternSet.of(pattern_P(2, 2))
 
 def brute_ex_columns(m, k, patterns, max_cols):
     """Unpruned reference: every column sequence up to max_cols, with no
-    bound or slot pruning, avoidance by contains_oracle only.  Its columns
+    bound pruning, avoidance by contains_oracle only.  Its columns
     are every row subset of size >= k, as the definition reads, so the
     differential tests also check that ex_columns may trim to exactly k.
 
@@ -431,6 +431,18 @@ class TestExColumns:
             (3, 2, P22, 4),
             (2, 2, P22, 2),
             (3, 3, PatternSet.of(DIAMOND), 3),
+            # certificates of two heights, where the smallest cap need not
+            # come from the smallest (c-1)*C(m, r); one column past the
+            # value decides it, as deleting a column keeps an avoider
+            (4, 2, PatternSet.of(pattern_P(1, 3), pattern_P(2, 2)), 5),
+            (5, 3, PatternSet.of(pattern_P(1, 3), pattern_P(2, 2)), 3),
+            (5, 2, PatternSet.of(pattern_P(1, 2), pattern_P(2, 2)), 3),
+            (4, 3, PatternSet.of(pattern_P(1, 3), pattern_P(3, 2)), 3),
+            (3, 2, PatternSet.of(pattern_P(1, 4), pattern_P(2, 3)), 5),
+            (4, 3, PatternSet.of(pattern_P(2, 3), pattern_P(3, 2)), 5),
+            (4, 3, PatternSet.of(pattern_P(1, 4), pattern_P(3, 3)), 5),
+            (5, 4, PatternSet.of(pattern_P(1, 4), pattern_P(3, 2)), 2),
+            (4, 2, PatternSet.of(Matrix01.from_rows([[1, 0, 1]]), pattern_P(2, 2)), 4),
         ],
     )
     def test_against_unpruned_reference(self, m, k, pats, max_cols):
@@ -516,15 +528,23 @@ class TestExColumns:
 
     def test_oversized_candidate_list_is_refused(self):
         # C(400, 2) = 79,800 candidate columns, refused before any table
-        with pytest.raises(SizeLimitError, match="candidate columns and support slots"):
+        with pytest.raises(SizeLimitError, match="needs more candidate columns than the limit"):
             ex_columns(400, 2, P22)
 
     def test_cap_past_the_limit_does_not_displace_a_smaller_one(self):
-        # P(6,4) caps at 3*C(19,6) = 81,396 and P(9,2) at C(19,9) = 92,378;
-        # C(19, 9) cut at the candidate limit would read 75,582, pick P(9,2)
-        # and refuse a query whose certificate fits
+        # 19 candidates: P(6,4) caps at 3*19 // C(13,12) = 4 and P(9,2) at
+        # 19 // C(10,9) = 1, though C(19,9) = 92,378 row subsets pass the
+        # candidate limit; every cap is (c-1)*C(m,k) // C(m-r,k-r), so none
+        # builds C(m, r)
         res = ex_columns(19, 18, PatternSet((pattern_P(9, 2), pattern_P(6, 4))))
         assert res.exact and res.value == 1
+
+    def test_a_cap_past_the_limit_in_row_subsets_is_answered(self):
+        # one candidate, and C(20,10) = 184,756 row 10-subsets: the cap is
+        # 1 * C(20,20) // C(10,10) = 1, reached by the single column
+        res = ex_columns(20, 20, PatternSet.of(pattern_P(10, 2)))
+        assert (res.value, res.exact) == (1, True)
+        assert res.witness.columns() == [(1 << 20) - 1]
 
     def test_forty_rows_reach_the_pigeonhole_cap(self):
         # one column per pair of rows: any two columns sharing two rows
@@ -570,9 +590,10 @@ class TestExColumns:
             assert all(bits.bit_count() == 2 for bits in res.witness.columns())
             assert not any(contains_oracle(res.witness, p) for p in B101_011)
 
-    def test_oversized_slot_list_is_refused(self):
-        # 40 candidate columns, but C(40, 20) support slots
-        with pytest.raises(SizeLimitError):
+    def test_tall_pattern_table_is_refused(self):
+        # 40 candidate columns, but the 20x2 block's table has 2 levels of
+        # C(40, 20) row subsets each, refused by the table rule
+        with pytest.raises(SizeLimitError, match="table bits"):
             ex_columns(40, 39, PatternSet.of(pattern_P(20, 2)))
 
 
@@ -643,9 +664,23 @@ PINNED = [
      (8, 2532, True, "00011111\n10011000\n01000100\n00100010\n11100001")),
     ("columns", (5, 2, PatternSet.of(pattern_P(2, 3), T10_01_10, *B101_011), {}),
      (11, 6661, True, "00000011111\n00110011000\n01111000100\n11001100010\n10000100001")),
-    # a 1-row certificate at k = 2: each column fills C(2, 1) slots
+    # a 1-row certificate at k = 2: each column holds C(2, 1) row 1-subsets
     ("columns", (4, 2, PatternSet.of(pattern_P(1, 5)), {}),
      (8, 9, True, "11110000\n11110000\n00001111\n00001111")),
+    # certificates of two heights: the smallest cap is taken over all of
+    # them, not from the one whose (c-1)*C(m, r) is smallest, so the walk
+    # stops at the value (12 and 10 from 27,449 and 33,652 nodes under that
+    # one's cap; the 8-row query was a cut at 20,001 nodes)
+    ("columns", (6, 2, PatternSet.of(pattern_P(2, 2), pattern_P(1, 5)), {}),
+     (12, 76, True, "111100000000\n100011100000\n010010011000\n001001000110\n"
+      "000100010101\n000000101011")),
+    ("columns", (6, 3, PatternSet.of(pattern_P(2, 3), pattern_P(3, 2)), {}),
+     (10, 374, True, "1111100000\n1100011100\n1010010011\n0101001011\n0010101110\n"
+      "0001110101")),
+    ("columns", (8, 2, PatternSet.of(pattern_P(2, 2), pattern_P(1, 5)), {"budget": 20000}),
+     (16, 2352, True, "1111000000000000\n1000111000000000\n0100100110000000\n"
+      "0010010001100000\n0001001000011000\n0000000101000110\n0000000010010101\n"
+      "0000000000101011")),
 ]
 
 
