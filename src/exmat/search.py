@@ -26,7 +26,7 @@ Boundary semantics for ex_columns, one finiteness rule:
     for some k-subset of rows, the m-row band host with ones exactly on
     those rows avoids every pattern at width w.  If none does, w columns
     whose supports share k rows contain a band host, so the cap of an
-    r = k, c = w pattern holds.  _band_hosts says which hosts decide it.
+    r = k, c = w pattern holds.  _band_avoids decides it with ex_weight.
 _column_cap takes the smallest of these caps.
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
@@ -323,7 +323,7 @@ def _column_cap(m: int, k: int, pats, count: int) -> int | None:
         return 0
     bounds = [(p.rows, p.cols) for p in pats if p.rows <= k]
     if not bounds:
-        if any(avoids_all(host, pats) for host in _band_hosts(m, k, pats, count)):
+        if _band_avoids(m, k, pats):
             return None
         bounds = [(k, max(p.cols for p in pats))]
     if any(c == 1 for _, c in bounds):
@@ -335,47 +335,29 @@ def _column_cap(m: int, k: int, pats, count: int) -> int | None:
     return min((c - 1) * count // comb(m - r, k - r) for r, c in bounds)
 
 
-def _band_hosts(m: int, k: int, pats, count: int):
-    """The hosts whose avoidance decides that (m, k, pats) is unbounded,
-    count being C(m, k) as _binomial_past gives it.
+def _band_avoids(m: int, k: int, pats) -> bool:
+    """Whether some band host avoids the patterns: ones on a k-subset of
+    the m rows, zeros elsewhere, as wide as the widest pattern.
 
-    For a k-subset K of rows, the band host has ones exactly on the rows in
-    K and is as wide as the widest pattern.  Its columns are all alike, so
-    if it avoids the patterns it does so at any width.  If none avoids
-    them, a support of k or more rows appears fewer times than that width,
-    so the value is finite.  An embedding uses at most `depth` rows of a run
-    of equal host rows, so a run may be cut to `depth` rows.  When the m-k
-    zero rows cannot all sit in the k+1 gaps around the ones with fewer
-    than `depth` in each, every band host holds, as a sub-host, a split
-    one: ones on its top a and bottom k-a rows.  Those k+1 then decide.
-    Otherwise every band is tested while there are at most
-    COLUMN_CANDIDATE_LIMIT of them, else only the top and bottom ones; an
-    untested band may still avoid, so once both of those have been yielded
-    the query is refused with SizeLimitError.
+    Its columns are all alike, so a pattern embeds in it iff the pattern's
+    row word does, the one-column pattern with a one on each of its nonzero
+    rows.  Deleting ones keeps an avoider, so some band avoids iff a column
+    avoiding the words holds k ones.  An embedding uses at most h rows of a
+    run of equal host rows, h the tallest pattern's height, so a zero run of
+    h or more rows may be cut or grown to any length of h or more; past
+    k + (k+1)*h rows one of the k+1 zero runs is that long, so that many
+    rows decide it.  A walk cut at MEMO_LIMIT short of k ones is refused.
     """
-    depth, width = max(p.rows for p in pats), max(p.cols for p in pats)
-    ones = (1 << width) - 1
-    gap = (0,) * min(m - k, depth)
-
-    def split(a):
-        rows = (ones,) * min(a, depth) + gap + (ones,) * min(k - a, depth)
-        return Matrix01(len(rows), width, rows)
-
-    if m - k > (k + 1) * (depth - 1):
-        yield from map(split, range(k + 1))
-    elif count <= COLUMN_CANDIDATE_LIMIT:
-        for band in combinations(range(m), k):
-            rows = [0] * m
-            for r in band:
-                rows[r] = ones
-            yield Matrix01(m, width, tuple(rows))
-    else:
-        yield split(k)
-        yield split(0)
+    words = [Matrix01(p.rows, 1, tuple(int(bits > 0) for bits in p.row_bits)) for p in pats]
+    if any(w.rows <= m and not w.weight for w in words):
+        return False  # every band holds it, and ex_weight refuses it
+    rows = min(m, k + (k + 1) * max(w.rows for w in words))
+    res = ex_weight(rows, 1, words, budget=MEMO_LIMIT)
+    if not res.exact and res.value < k:
         raise SizeLimitError(
-            f"m={m}, k={k}: the top and bottom band hosts hold a pattern, and the "
-            f"other bands number more than the limit {COLUMN_CANDIDATE_LIMIT}"
+            f"m={m}, k={k}: the band test stopped at the memo limit {MEMO_LIMIT} short of {k} ones"
         )
+    return res.value >= k
 
 
 def _cover_masks(holds, candidates) -> list[int]:
@@ -463,7 +445,7 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
 
     # A pattern taller than the host never embeds, so it is not checked; one
     # always fits: the bound came from a pattern with at most k <= m rows or
-    # from band hosts of at most m rows that each hold a pattern.  Transposed,
+    # from the m-row band hosts, which each hold a pattern.  Transposed,
     # a pattern's columns are the automaton's levels.  The search keeps a
     # table-wide mask per candidate and per row; only k = m has fewer
     # candidates than rows.

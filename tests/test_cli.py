@@ -24,6 +24,7 @@ from exmat import (
     parse_matrix,
     parse_pattern_set,
 )
+import exmat.search as search_module
 from exmat.cli import main
 from exmat.patterns import T_FAMILY_LIMIT
 from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suites
@@ -257,10 +258,22 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["value"] == 0 and doc["exact"] is True
 
-    def test_incomplete_band_test_is_input_error(self, capsys, tmp_path):
+    def test_band_between_tall_patterns_is_answered(self, capsys, tmp_path):
         # the top and bottom band hosts of 363 rows hold a one with 199 rows
         # below it or one with 199 rows above it; ones on rows 170 and 180
-        # avoid both, but C(363, 2) bands are too many to test
+        # avoid both
+        path = tmp_path / "far.txt"
+        path.write_text("1\n" + "0\n" * 199 + "\n" + "0\n" * 199 + "1\n")
+        code, out, err = run_cli(
+            capsys, "compute", "columns", "--m", "363", "--k", "2", "--pattern", str(path)
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == "unbounded"
+
+    def test_band_test_cut_short_of_k_is_input_error(self, capsys, tmp_path, monkeypatch):
+        # the same query, with the band test's walk stopped in the rows
+        # where no one fits
+        monkeypatch.setattr(search_module, "MEMO_LIMIT", 100)
         path = tmp_path / "far.txt"
         path.write_text("1\n" + "0\n" * 199 + "\n" + "0\n" * 199 + "1\n")
         code, out, err = run_cli(
@@ -270,9 +283,10 @@ class TestCompute:
         assert "band" in err
 
     def test_zero_pattern_rows_stay_within_budget(self, capsys, tmp_path):
-        # 14 zero rows above a one: the weight seeds and the band hosts run
-        # containment searches that once retried every zero row on every
-        # later host row and ran past a minute, whatever the budget
+        # 14 zero rows above a one: the weight seeds, which the band test
+        # runs too, are containment searches that once retried every zero
+        # row on every later host row and ran past a minute, whatever the
+        # budget
         path = tmp_path / "tall.txt"
         path.write_text("0\n" * 14 + "1\n")
         code, out, _ = run_cli(

@@ -1,6 +1,8 @@
 import inspect
+import pkgutil
 import re
 import shlex
+from importlib import import_module
 from itertools import product
 from pathlib import Path
 
@@ -69,3 +71,24 @@ def test_signatures_match_the_code():
             for p in inspect.signature(getattr(exmat, name)).parameters.values()
         ]
         assert params == actual, name
+
+
+def test_dotted_names_resolve():
+    # every backticked `module.NAME` whose module is exmat or one of its
+    # modules names an attribute of that module, so a deleted helper cannot
+    # linger in the docs; names outside exmat, such as `fractions.Fraction`,
+    # are skipped
+    modules = {"exmat": exmat} | {
+        name: import_module(f"exmat.{name}") for _, name, _ in pkgutil.iter_modules(exmat.__path__)
+    }
+    shown = [
+        name.split(".")
+        for name in re.findall(r"`(\w+(?:\.\w+)+)`", README.read_text())
+        if name.split(".")[0] in modules
+    ]
+    assert {("search", "MEMO_LIMIT"), ("exmat", "verify")} <= {tuple(name) for name in shown}
+    for head, *attrs in shown:
+        owner = modules[head]
+        for attr in attrs:
+            assert hasattr(owner, attr), f"{head}.{'.'.join(attrs)}"
+            owner = getattr(owner, attr)

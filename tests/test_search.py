@@ -341,16 +341,33 @@ class TestExColumns:
         res = ex_columns(3, 1, pats)
         assert res.exact and res.value == 0 and res.witness.cols == 0
 
-    def test_incomplete_band_test_is_refused(self):
+    def test_band_between_tall_patterns_is_unbounded(self):
         # a one with 199 rows below it, and a one with 199 rows above it: the
         # top and the bottom band hosts of 363 rows hold them, but ones on
-        # rows 170 and 180 avoid both, so the query is unbounded; with
-        # C(363, 2) bands too many to test, it must be refused, not bounded
+        # rows 170 and 180 avoid both, so the query is unbounded
         top = Matrix01(200, 1, (1,) + (0,) * 199)
         pats = PatternSet.of(top, flip_v(top))
         assert avoids_all(Matrix01.from_ones(363, 1, [(170, 0), (180, 0)]), pats)
+        res = ex_columns(363, 2, pats)
+        assert res.unbounded and res.witness is None and res.exact
+
+    def test_band_test_cut_short_of_k_is_refused(self, monkeypatch):
+        # the column walk of the band test sets no one in rows 0..163, where
+        # a one has 199 rows below it; stopped there, it cannot say whether
+        # two ones fit, so the query is refused, not bounded
+        top = Matrix01(200, 1, (1,) + (0,) * 199)
+        pats = PatternSet.of(top, flip_v(top))
+        monkeypatch.setattr(search_module, "MEMO_LIMIT", 100)
         with pytest.raises(SizeLimitError, match="band"):
             ex_columns(363, 2, pats)
+
+    def test_band_test_runs_within_the_memo_limit(self):
+        # a one with 100 rows below it, and one with 100 rows above it: no
+        # band host of 250 rows avoids them, and one walk over a 250-row
+        # column decides it without testing the C(250, 2) hosts one by one
+        top = Matrix01(101, 1, (1,) + (0,) * 100)
+        res = ex_columns(250, 2, PatternSet.of(top, flip_v(top)), budget=10)
+        assert res.exact and res.value == 0 and res.witness.cols == 0
 
     def test_unbounded_through_a_split_band(self):
         # a one in the middle row of three: the hosts of all-ones top rows
@@ -362,7 +379,7 @@ class TestExColumns:
         assert not contains_oracle(Matrix01(4, 5, (31, 0, 0, 31)), pat)
         res = ex_columns(4, 2, PatternSet.of(pat))
         assert res.unbounded and res.witness is None and res.exact
-        # too many bands to test one by one; the split hosts decide
+        # a million rows: the band test's column is cut to 2 + 3*3 rows
         assert ex_columns(10**6, 2, PatternSet.of(pat)).unbounded
 
     def test_unbounded_decision_matches_brute_force(self):
@@ -392,33 +409,36 @@ class TestExColumns:
         assert min(seen.values()) >= 10
 
     def test_unbounded_decision_matches_uncut_band_hosts(self):
-        # the search tests k+1 split hosts, cut to the patterns' height, once
-        # m is large enough (40 of these 108 queries); here every k-subset
-        # host of all m rows is tested as it is
+        # the search walks one column over the patterns' row words, cut to
+        # k + (k+1)*h rows, h the tallest pattern's height; here every
+        # k-subset host of all m rows is tested as it is, m - k passing
+        # (k+1)*(h-1) in some queries
         rng = random.Random(13)
         seen = {True: 0, False: 0}
-        for _ in range(120):
-            m, k = rng.randint(1, 10), rng.randint(1, 2)
+        tall = 0
+        for _ in range(400):
+            m, k = rng.randint(1, 16), rng.randint(1, 3)
             if k > m:
                 continue
             pats = []
-            for _ in range(rng.randint(1, 4)):
-                rows, cols = rng.randint(k + 1, k + 2), rng.randint(1, 2)
+            for _ in range(rng.randint(1, 3)):
+                rows, cols = rng.randint(k + 1, k + 3), rng.randint(1, 2)
                 bits = tuple(rng.randrange(1 << cols) if rng.random() < 0.6 else 0 for _ in range(rows))
                 if any(bits):
                     pats.append(Matrix01(rows, cols, bits))
             if not pats:
                 continue
+            pats = PatternSet(tuple(pats))
             width = max(p.cols for p in pats)
             full = (1 << width) - 1
             unbounded = any(
-                not any(contains_oracle(Matrix01(m, width, tuple(full if r in band else 0 for r in range(m))), p)
-                        for p in pats)
+                avoids_all(Matrix01(m, width, tuple(full if r in band else 0 for r in range(m))), pats)
                 for band in combinations(range(m), k)
             )
-            assert ex_columns(m, k, PatternSet(tuple(pats))).unbounded == unbounded
+            assert ex_columns(m, k, pats).unbounded == unbounded
             seen[unbounded] += 1
-        assert min(seen.values()) >= 10
+            tall += m - k > (k + 1) * (max(p.rows for p in pats) - 1)
+        assert min(seen.values()) >= 10 and tall >= 10
 
     @pytest.mark.parametrize("m,k,c", [(3, 2, 2), (4, 2, 2), (4, 2, 3), (3, 3, 2)])
     def test_formula_grid(self, m, k, c):
