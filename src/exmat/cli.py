@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
 exhausted.  Each `compute` kind, `generate` family and `transform`
-operation has its own parser, which refuses any flag it does not read; the
-`generate` and `transform` parsers require all of theirs.  JSON
-records carry a "schema": "1" field; CSV sweeps start with a header row.
-All commands are deterministic for identical inputs and flags.
+operation is one table row: the flags it reads and the code that answers
+it.  Each row gets a parser that refuses any other flag; `generate` and
+`transform` require all their int flags.  JSON records carry a "schema":
+"1" field; CSV sweeps start with a header row.  All commands are
+deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .constructions import (
     pigeonhole_witness,
 )
 from .matrix import (
-    Matrix01,
     PatternSet,
     SizeLimitError,
     format_pattern_set,
@@ -35,17 +35,9 @@ from .matrix import (
 )
 from .patterns import generate_T, pattern_L, pattern_P
 from .render import layout_svg
-from .search import (
-    ExtremalResult,
-    ex_columns,
-    ex_weight,
-)
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
-from .visibility import (
-    matrix_to_visibility,
-    parse_layout,
-    sweep_edges,
-)
+from .search import ExtremalResult, ex_columns, ex_weight
+from .verify import DEFAULT_SEED, SUITES, run_suites
+from .visibility import matrix_to_visibility, parse_layout, sweep_edges
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -56,19 +48,6 @@ DEFAULT_CLI_BUDGET = 5_000_000
 
 # A --sweep range may hold at most this many points; each is one query.
 SWEEP_POINT_LIMIT = 1024
-
-# `compute` kind -> the size flags it reads; a --sweep may stand in for one.
-COMPUTE_FLAGS = {"weight": ("m", "n"), "columns": ("m", "k")}
-
-# `generate` family -> the int flags it reads, all required.
-GENERATE_FLAGS = {
-    "L": ("i",),
-    "P": ("r", "c"),
-    "T": ("r", "s"),
-    "Kprime": ("m", "k"),
-    "pigeonhole": ("m", "k", "c"),
-    "lowerP": ("m", "r", "k"),
-}
 
 
 def _read(path: str) -> str:
@@ -99,10 +78,13 @@ def _result_json(result: ExtremalResult, query: dict) -> dict:
     }
 
 
-def _run_query(query: dict, patterns, budget):
-    if query["kind"] == "weight":
-        return ex_weight(query["m"], query["n"], patterns, budget=budget)
-    return ex_columns(query["m"], query["k"], patterns, budget=budget)
+# `compute` kind -> (the size flags it reads, a --sweep may stand in for one;
+# the search, called with those sizes in order).  The searches are looked up
+# when called, so a rebound `cli.ex_weight` or `cli.ex_columns` takes effect.
+COMPUTE = {
+    "weight": (("m", "n"), lambda *sizes, **kw: ex_weight(*sizes, **kw)),
+    "columns": (("m", "k"), lambda *sizes, **kw: ex_columns(*sizes, **kw)),
+}
 
 
 def cmd_compute(args) -> int:
@@ -118,7 +100,7 @@ def cmd_compute(args) -> int:
         "patterns": list(args.pattern),
     }
     sweep = _parse_sweep(args.sweep) if args.sweep else None
-    needed = COMPUTE_FLAGS[args.kind]
+    needed, search = COMPUTE[args.kind]
     swept = sweep[0] if sweep else None
     if swept is not None and swept not in needed:
         raise ValueError(f"{args.kind} queries ignore {swept}; sweep one of " + ", ".join(needed))
@@ -126,27 +108,24 @@ def cmd_compute(args) -> int:
     if missing:
         raise ValueError(f"{args.kind} queries need --" + ", --".join(missing))
 
-    if sweep:
-        var, lo, hi = sweep
-        rows = []
-        for value in range(lo, hi + 1):
-            query = dict(base_query, **{var: value})
-            rows.append((query, _run_query(query, patterns, budget)))
-        if args.format == "csv":
-            print(f"{var},value,exact,nodes_explored")
-            for query, res in rows:
-                v = "unbounded" if res.unbounded else int(res.value)
-                print(f"{query[var]},{v},{res.exact},{res.nodes_explored}")
-        else:
-            records = [_result_json(res, query) for query, res in rows]
-            print(json.dumps({"schema": "1", "sweep": var, "results": records}, indent=2))
-        if any(not res.exact for _, res in rows):
-            return EXIT_BUDGET
-        return EXIT_OK
-
-    res = _run_query(base_query, patterns, budget)
-    print(json.dumps(_result_json(res, base_query), indent=2))
-    return EXIT_OK if res.exact else EXIT_BUDGET
+    # a single query is the one-point sweep of m
+    var, lo, hi = sweep or ("m", args.m, args.m)
+    rows = []
+    for value in range(lo, hi + 1):
+        query = dict(base_query, **{var: value})
+        rows.append((query, search(*(query[f] for f in needed), patterns, budget=budget)))
+    if args.format == "csv":
+        print(f"{var},value,exact,nodes_explored")
+        for query, res in rows:
+            v = "unbounded" if res.unbounded else int(res.value)
+            print(f"{query[var]},{v},{res.exact},{res.nodes_explored}")
+    elif sweep:
+        records = [_result_json(res, query) for query, res in rows]
+        print(json.dumps({"schema": "1", "sweep": var, "results": records}, indent=2))
+    else:
+        [(query, res)] = rows
+        print(json.dumps(_result_json(res, query), indent=2))
+    return EXIT_OK if all(res.exact for _, res in rows) else EXIT_BUDGET
 
 
 def _parse_sweep(spec: str):
@@ -166,39 +145,6 @@ def _parse_sweep(spec: str):
     return var, lo, hi
 
 
-def cmd_generate(args) -> int:
-    fam = args.family
-    if fam == "L":
-        print(pattern_L(args.i).to_text())
-    elif fam == "P":
-        print(pattern_P(args.r, args.c).to_text())
-    elif fam == "T":
-        print(format_pattern_set(generate_T(args.r, args.s)))
-    elif fam == "Kprime":
-        print(construct_K_prime(args.m, args.k).to_text())
-    elif fam == "pigeonhole":
-        print(pigeonhole_witness(args.m, args.k, args.c).to_text())
-    else:  # lowerP
-        rungs = lower_bound_witness(args.m, args.r, args.k)
-        witness = rungs[-1][0]
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "schema": "1",
-                        "witness": witness.to_text(),
-                        "columns": witness.cols,
-                        "rows": witness.rows,
-                        "trace": [_rung_record(rung) for rung in rungs],
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(witness.to_text())
-    return EXIT_OK
-
-
 def _rung_record(rung: Rung) -> dict:
     matrix, adj, colors = rung
     return {
@@ -209,8 +155,70 @@ def _rung_record(rung: Rung) -> dict:
     }
 
 
+def _lower_p(args) -> str:
+    rungs = lower_bound_witness(args.m, args.r, args.k)
+    witness = rungs[-1][0]
+    if args.format == "text":
+        return witness.to_text()
+    return json.dumps(
+        {
+            "schema": "1",
+            "witness": witness.to_text(),
+            "columns": witness.cols,
+            "rows": witness.rows,
+            "trace": [_rung_record(rung) for rung in rungs],
+        },
+        indent=2,
+    )
+
+
+def _cluster_split(args) -> str:
+    out = cluster_split(parse_matrix(_read(args.input)), args.k)
+    if out.cols == 0:
+        return json.dumps({"schema": "1", "empty": True, "rows": out.rows, "cols": 0})
+    return out.to_text()
+
+
+def _induction_step(args) -> str:
+    before, after = islice(coloring_induction(parse_matrix(_read(args.input)), args.r), 2)
+    if args.format == "text":
+        return after[0].to_text()
+    return json.dumps(
+        {
+            "schema": "1",
+            "result": after[0].to_text(),
+            "before": _rung_record(before),
+            "after": _rung_record(after),
+        },
+        indent=2,
+    )
+
+
+# `generate` family and `transform` operation -> (the arguments it reads, in
+# parser order; the code that gives the text it prints).  "input" is the FILE
+# positional, "format" is --format text|json, any other name is a required
+# int flag.
+GENERATE = {
+    "L": (("i",), lambda a: pattern_L(a.i).to_text()),
+    "P": (("r", "c"), lambda a: pattern_P(a.r, a.c).to_text()),
+    "T": (("r", "s"), lambda a: format_pattern_set(generate_T(a.r, a.s))),
+    "Kprime": (("m", "k"), lambda a: construct_K_prime(a.m, a.k).to_text()),
+    "pigeonhole": (("m", "k", "c"), lambda a: pigeonhole_witness(a.m, a.k, a.c).to_text()),
+    "lowerP": (("m", "r", "k", "format"), _lower_p),
+}
+TRANSFORM = {
+    "cluster-split": (("input", "k"), _cluster_split),
+    "induction-step": (("input", "r", "format"), _induction_step),
+}
+
+
+def cmd_print(args) -> int:
+    print(args.text(args))
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     results = run_suites(names, scale=args.scale, seed=args.seed)
     if args.format == "json":
         print(
@@ -243,34 +251,6 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def cmd_cluster_split(args) -> int:
-    out = cluster_split(parse_matrix(_read(args.input)), args.k)
-    if out.cols == 0:
-        print(json.dumps({"schema": "1", "empty": True, "rows": out.rows, "cols": 0}))
-    else:
-        print(out.to_text())
-    return EXIT_OK
-
-
-def cmd_induction_step(args) -> int:
-    before, after = islice(coloring_induction(parse_matrix(_read(args.input)), args.r), 2)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": "1",
-                    "result": after[0].to_text(),
-                    "before": _rung_record(before),
-                    "after": _rung_record(after),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(after[0].to_text())
-    return EXIT_OK
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -282,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="extremal value of a query")
     kinds = p_compute.add_subparsers(dest="kind", required=True)
-    for kind, flags in COMPUTE_FLAGS.items():
+    for kind, (flags, _) in COMPUTE.items():
         p_kind = kinds.add_parser(kind)
         p_kind.add_argument("--pattern", action="append", required=True, metavar="FILE")
         for flag in flags:
@@ -293,17 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_gen = sub.add_parser("generate", help="emit a named pattern or construction")
-    families = p_gen.add_subparsers(dest="family", required=True)
-    for family, flags in GENERATE_FLAGS.items():
-        p_family = families.add_parser(family)
-        for flag in flags:
-            p_family.add_argument(f"--{flag}", type=int, required=True)
-        if family == "lowerP":
-            p_family.add_argument("--format", choices=("text", "json"), default="text")
-    p_gen.set_defaults(func=cmd_generate)
 
     p_verify = sub.add_parser("verify", help="run seeded claim suites")
-    p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
+    p_verify.add_argument("suite", choices=("all", *SUITES))
     p_verify.add_argument("--scale", type=float, default=1.0)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -318,16 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=cmd_render)
 
     p_tr = sub.add_parser("transform", help="apply a construction to a matrix")
-    operations = p_tr.add_subparsers(dest="operation", required=True)
-    p_split = operations.add_parser("cluster-split")
-    p_split.add_argument("input", metavar="FILE")
-    p_split.add_argument("--k", type=int, required=True)
-    p_split.set_defaults(func=cmd_cluster_split)
-    p_step = operations.add_parser("induction-step")
-    p_step.add_argument("input", metavar="FILE")
-    p_step.add_argument("--r", type=int, required=True)
-    p_step.add_argument("--format", choices=("text", "json"), default="text")
-    p_step.set_defaults(func=cmd_induction_step)
+
+    for parent, dest, table in ((p_gen, "family", GENERATE), (p_tr, "operation", TRANSFORM)):
+        names = parent.add_subparsers(dest=dest, required=True)
+        for name, (reads, text) in table.items():
+            p_name = names.add_parser(name)
+            for arg in reads:
+                if arg == "input":
+                    p_name.add_argument("input", metavar="FILE")
+                elif arg == "format":
+                    p_name.add_argument("--format", choices=("text", "json"), default="text")
+                else:
+                    p_name.add_argument(f"--{arg}", type=int, required=True)
+            p_name.set_defaults(func=cmd_print, text=text)
 
     return parser
 

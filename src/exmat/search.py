@@ -409,9 +409,7 @@ def _automaton(lines: int, patterns, masks: int, query: str) -> tuple[int, int, 
         state |= every << base
         base += p.rows * block
         ends.append(every << base - block)
-    if not stride:
-        return block, state, ends, [0] * lines
-    holds = [int.from_bytes(grid[r:r + stride], "little") for r in range(0, len(grid), stride)]
+    holds = [int.from_bytes(grid[r * stride:(r + 1) * stride], "little") for r in range(lines)]
     return block, state, ends, holds
 
 

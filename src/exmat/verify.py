@@ -537,8 +537,6 @@ SUITES = {
     "monotone": lambda scale, seed: claim_boundary_and_monotone(),
 }
 
-SUITE_NAMES = tuple(SUITES)
-
 
 def run_suites(names, scale: float = 1.0, seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     if not isfinite(scale) or scale <= 0:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -25,7 +26,7 @@ from exmat import (
     parse_pattern_set,
 )
 import exmat.search as search_module
-from exmat.cli import main
+from exmat.cli import COMPUTE, GENERATE, TRANSFORM, build_parser, main
 from exmat.patterns import T_FAMILY_LIMIT
 from exmat.verify import VERIFY_COUNT_LIMIT, _scaled, run_suites
 
@@ -844,6 +845,41 @@ def test_parser_is_built_once_and_not_at_import():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+
+def subcommands(parser):
+    """The subparsers of parser by name, in the order they were added."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parsers_match_the_command_tables():
+    # each compute kind, generate family and transform operation parses
+    # exactly the arguments of its table row, in order, so the parser
+    # cannot drift from the code that answers it
+    commands = subcommands(build_parser())
+    assert list(commands) == ["compute", "generate", "verify", "render", "transform"]
+    names = {
+        "compute": (COMPUTE, ["weight", "columns"]),
+        "generate": (GENERATE, ["L", "P", "T", "Kprime", "pigeonhole", "lowerP"]),
+        "transform": (TRANSFORM, ["cluster-split", "induction-step"]),
+    }
+    for command, (table, order) in names.items():
+        parsers = subcommands(commands[command])
+        assert list(parsers) == list(table) == order
+        for name, parser in parsers.items():
+            reads = table[name][0]
+            if command == "compute":
+                want = ["--pattern", *(f"--{f}" for f in reads), "--budget", "--sweep", "--format"]
+                required = ["--pattern"]
+            else:
+                want = [arg if arg == "input" else f"--{arg}" for arg in reads]
+                required = [arg for arg in want if arg != "--format"]
+            actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            got = [a.option_strings[0] if a.option_strings else a.dest for a in actions]
+            assert got == want, (command, name)
+            assert [arg for arg, a in zip(got, actions) if a.required] == required, (command, name)
 
 
 HUGE_ARGUMENTS = [

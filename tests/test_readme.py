@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import exmat
-from exmat.cli import GENERATE_FLAGS, build_parser
+from exmat.cli import GENERATE, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCED = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.S | re.M)
@@ -53,7 +53,7 @@ def test_cli_examples_parse(argv):
 def test_cli_block_names_every_generate_family():
     (line,) = [line for block in BLOCKS for line in block.splitlines() if "# also:" in line]
     shown = shlex.split(line)[2]
-    assert {shown, *line.split("# also:")[1].strip().split(", ")} == set(GENERATE_FLAGS)
+    assert {shown, *line.split("# also:")[1].strip().split(", ")} == set(GENERATE)
 
 
 def test_signatures_match_the_code():
