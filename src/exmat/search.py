@@ -12,7 +12,10 @@ placed.  ex_columns appends a column of exactly k ones, the sorted tuple of
 its rows, at a time: the automaton runs over row subsets.  ex_weight sets a
 cell at a time in row-major order: the automaton runs over column subsets
 and advances once per finished row, and a cell set to 1 is tested against
-the zeros of its row.  A candidate's cover is one bitmask, tested by ANDs.
+the zeros of its row.  When the query passes the size rule and its
+transpose passes it with strictly fewer table bits, ex_weight walks the
+transpose instead and transposes the witness back.  A candidate's cover
+is one bitmask, tested by ANDs.
 avoiders(m, n, S) runs ex_weight's row automaton a whole row at a time to
 list every m x n avoider of at most 16 cells without a containment search.
 
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, combinations
 from math import comb
@@ -139,6 +142,35 @@ def _binomial_past(n: int, k: int, cap: int) -> int:
 def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -> ExtremalResult:
     """Maximum weight of an m x n matrix avoiding every pattern.
 
+    Transposing the host and the patterns keeps containment, so the query
+    equals (n, m, S transposed).  Before any table is built the table bits
+    of both orientations are counted the way _row_automaton counts them; if
+    the query as given passes the size rule, and the transposed one has
+    strictly fewer bits and passes too, the transposed query is walked and
+    its witness transposed back.  Otherwise the query is walked as given,
+    refusals included.  The rule admitted n masks as wide as the given
+    table, so the at most n row states of a transposed walk, one per row of
+    its n x m host, are each narrower than those.  nodes_explored and the
+    walk order are those of the walked orientation.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be at least 1")
+    check_cells(m, n)
+    fitting = [p for p in dict.fromkeys(patterns) if p.rows <= m and p.cols <= n]
+    _, given = _table_bits(n, [(p.cols, _height(p)) for p in fitting])
+    # a transposed pattern's levels are p's columns up to its last nonzero one
+    _, flipped = _table_bits(
+        m, [(p.rows, reduce(or_, p.row_bits, 0).bit_length()) for p in fitting]
+    )
+    if flipped < given and n * given <= MATRIX_CELL_LIMIT and m * flipped <= MATRIX_CELL_LIMIT:
+        res = _weight_walk(n, m, [transpose(p) for p in fitting], budget)
+        return replace(res, witness=transpose(res.witness))
+    return _weight_walk(m, n, patterns, budget)
+
+
+def _weight_walk(m: int, n: int, patterns, budget: int | None) -> ExtremalResult:
+    """ex_weight(m, n, patterns, budget) walked in the orientation given.
+
     Containment is the automaton over the host columns: its levels are
     pattern rows and its subsets are column subsets.  The greedy match is
     exact, so the rows below depend only on the state at the start of their
@@ -155,9 +187,6 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     finished avoider, the rows the walk stands on above zero rows, or a
     seed (the zero matrix, or an all-ones column or row), the heaviest.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
-    check_cells(m, n)
     block, state, lacks, last, lower = _row_automaton(m, n, patterns)
     # run[r][st] = (weight, row, state after it) of the heaviest rows r..m-1
     # after state st; r = m, or a state refused past MEMO_LIMIT, is zero
@@ -218,11 +247,12 @@ def _row_automaton(m: int, n: int, patterns) -> tuple[int, int, list[int], list[
     avoiders run over the rows of an m x n host.
 
     Its levels are the rows of each pattern that fits, down to its last
-    nonzero row, and its subsets are column subsets (see _automaton):
-    lacks[c] marks the bits whose subset needs column c for its level, and
-    zeros(row) below is the OR of lacks[c] over the row's zero columns.  A
-    pattern's z trailing zero rows get no level, as a zero host row is never
-    tested; its last level counts in last[r] only if r + z < m.  Row r
+    nonzero row (_height), and its subsets are column subsets (see
+    _automaton): lacks[c] marks the bits whose subset needs column c for its
+    level, and zeros(row) below is the OR of lacks[c] over the row's zero
+    columns.  A pattern's z trailing zero rows get no level, as a zero host
+    row is never tested; its last level counts in last[r] only if r + z < m,
+    so last holds one mask per distinct z and the rows share them.  Row r
     completes a pattern iff st & last[r] & ~zeros(row) is nonzero; otherwise
     it moves hit = st & ~zeros(row) & lower up one block, to
     st ^ hit | hit << block.  A last level met only in the last z rows has no
@@ -233,7 +263,7 @@ def _row_automaton(m: int, n: int, patterns) -> tuple[int, int, list[int], list[
     checked, tails = [], []
     for p in dict.fromkeys(patterns):
         if p.rows <= m and p.cols <= n:
-            height = max((a for a, bits in enumerate(p.row_bits) if bits), default=-1) + 1
+            height = _height(p)
             if not height:
                 raise ValueError(
                     "an all-zero pattern fits inside every host; no avoiding matrix exists"
@@ -241,8 +271,29 @@ def _row_automaton(m: int, n: int, patterns) -> tuple[int, int, list[int], list[
             checked.append(Matrix01(height, p.cols, p.row_bits[:height]))
             tails.append(p.rows - height)
     block, state, ends, lacks = _automaton(n, checked, n, f"m={m}, n={n}: {n} columns")
-    last = [sum(e for e, z in zip(ends, tails) if r + z < m) for r in range(m)]
-    return block, state, lacks, last, ~sum(ends)
+    # bottom-up, the patterns with z trailing zero rows join at row m-1-z
+    joins: dict[int, int] = {}
+    for e, z in zip(ends, tails):
+        joins[z] = joins.get(z, 0) | e
+    last, mask = [], 0
+    for z in range(m):
+        if z in joins:
+            mask |= joins[z]
+        last.append(mask)
+    return block, state, lacks, last[::-1], ~sum(ends)
+
+
+def _height(p: Matrix01) -> int:
+    """The rows of p down to its last nonzero one: its row automaton levels."""
+    return next((a + 1 for a in range(p.rows - 1, -1, -1) if p.row_bits[a]), 0)
+
+
+def _table_bits(lines: int, shapes) -> tuple[int, int]:
+    """(block, bits) of the table _automaton builds over `lines` host lines
+    for patterns of these (width, levels): block is the largest C(lines,
+    width), from _binomial_past, and bits = block x the levels."""
+    block = max((_binomial_past(lines, cols, MATRIX_CELL_LIMIT) for cols, _ in shapes), default=0)
+    return block, block * sum(levels for _, levels in shapes)
 
 
 def avoiders(m: int, n: int, patterns: PatternSet) -> Iterator[tuple[int, ...]]:
@@ -384,8 +435,7 @@ def _automaton(lines: int, patterns, masks: int, query: str) -> tuple[int, int, 
     naming the masks, before any table or binomial past the limit is built;
     a block past MATRIX_CELL_LIMIT // lines is reported as that bound.
     """
-    block = max((_binomial_past(lines, p.cols, MATRIX_CELL_LIMIT) for p in patterns), default=0)
-    bits = block * sum(p.rows for p in patterns)
+    block, bits = _table_bits(lines, [(p.cols, p.rows) for p in patterns])
     if masks * bits > MATRIX_CELL_LIMIT:
         cap = MATRIX_CELL_LIMIT // lines
         raise SizeLimitError(

@@ -337,6 +337,31 @@ class TestCompute:
         assert doc["exact"] is False
         assert doc["value"] >= 5
 
+    def test_rectangle_walked_transposed_keeps_its_shape(self, capsys, p22_file):
+        # z(4,5;2,2) = 10, walked as 5 x 4 and transposed back
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "4", "--n", "5", "--pattern", p22_file
+        )
+        assert code == 0
+        doc = json.loads(out)
+        witness = parse_matrix(doc["witness"])
+        assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (10, True, 3230)
+        assert (witness.rows, witness.cols, witness.weight) == (4, 5, 10)
+        assert avoids_two_row_block(witness, 2)
+
+    def test_sweep_witnesses_have_each_points_shape(self, capsys, p22_file):
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "4", "--n", "3",
+            "--pattern", p22_file, "--sweep", "n:3:6",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [doc["query"]["n"] for doc in results] == [3, 4, 5, 6]
+        for doc in results:
+            witness = parse_matrix(doc["witness"])
+            assert (witness.rows, witness.cols) == (4, doc["query"]["n"])
+            assert witness.weight == doc["value"] and avoids_two_row_block(witness, 2)
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("01\n012\n")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb, inf
 
@@ -187,6 +188,119 @@ class TestExWeightSymmetry:
         assert value(n, m, transpose) == base
         assert value(m, n, flip_h) == base
         assert value(m, n, flip_v) == base
+
+
+ORIENTED = {
+    "P22": P22,
+    "diamond": PatternSet.of(DIAMOND),
+    "L1": PatternSet.of(pattern_L(1)),
+    "L2": PatternSet.of(pattern_L(2)),
+    "L3": PatternSet.of(pattern_L(3)),
+    "T11": generate_T(1, 1),
+    "T20": generate_T(2, 0),
+}
+
+
+def flipped(pats):
+    return PatternSet(tuple(map(transpose, pats)))
+
+
+class TestExWeightOrientation:
+    @pytest.mark.parametrize("name", ORIENTED)
+    def test_transposed_query_walks_the_same_orientation(self, name):
+        # None of these patterns has a zero last row or column, and the
+        # members of a family share one shape, so the row automaton of the
+        # fitting ones over an m x n host has C(n, cols) x (rows per member)
+        # table bits.  Unless the two orientations tie, both queries walk the
+        # cheaper one; on a tie each walks as given.
+        pats = ORIENTED[name]
+        rows, cols = pats.patterns[0].rows, pats.patterns[0].cols
+
+        def bits(m, n, r, c):
+            return comb(n, c) * r * len(pats) if r <= m and c <= n else 0
+
+        for m in range(3, 6):
+            for n in range(3, 6):
+                given, back = ex_weight(m, n, pats), ex_weight(n, m, flipped(pats))
+                assert (given.value, given.exact) == (back.value, back.exact)
+                assert given.exact and given.witness.weight == given.value
+                assert (given.witness.rows, given.witness.cols) == (m, n)
+                assert not any(contains_oracle(given.witness, p) for p in pats)
+                if bits(m, n, rows, cols) != bits(n, m, cols, rows):
+                    assert given.nodes_explored == back.nodes_explored
+                    assert transpose(back.witness) == given.witness
+                else:
+                    assert given == search_module._weight_walk(m, n, pats, None)
+                    assert back == search_module._weight_walk(n, m, flipped(pats), None)
+                    assert not any(contains_oracle(back.witness, p) for p in flipped(pats))
+
+    def test_seeded_rectangles_match_the_oracle(self):
+        # 400 rectangular queries of at most 12 cells (the oracle's 16-cell
+        # shapes take about 0.5 s each), every one asked in both orientations
+        rng = random.Random(34)
+        shapes = [(m, n) for m in range(1, 13) for n in range(1, 13) if m != n and m * n <= 12]
+        for _ in range(400):
+            m, n = rng.choice(shapes)
+            drawn = []
+            for _ in range(rng.randint(1, 2)):
+                r, c = rng.randint(1, 3), rng.randint(1, 3)
+                rows = [rng.getrandbits(c) for _ in range(r)]
+                if not any(rows):
+                    rows[rng.randrange(r)] = 1 << rng.randrange(c)
+                drawn.append(Matrix01(r, c, tuple(rows)))
+            pats = PatternSet(tuple(drawn))
+            value = ex_weight_oracle(m, n, pats).value
+            for rows, cols, query in ((m, n, pats), (n, m, flipped(pats))):
+                res = ex_weight(rows, cols, query)
+                assert res.exact and res.value == res.witness.weight == value, (m, n, pats)
+                assert (res.witness.rows, res.witness.cols) == (rows, cols)
+                assert not any(contains_oracle(res.witness, p) for p in query)
+
+    def test_costly_orientation_explores_the_cheap_ones_nodes(self):
+        # L1 transposed on 6 x 6 walked as given took 15,879,050 nodes
+        res = ex_weight(6, 6, PatternSet.of(transpose(pattern_L(1))))
+        assert (res.value, res.exact, res.nodes_explored) == (24, True, 256486)
+        assert res.nodes_explored == ex_weight(6, 6, PatternSet.of(pattern_L(1))).nodes_explored
+        assert not contains_oracle(res.witness, transpose(pattern_L(1)))
+
+    def test_cheaper_transpose_past_the_size_rule_is_not_walked(self, monkeypatch):
+        # 10000000 at 4097 x 16: 16 column masks x C(16, 8) = 12,870 table
+        # bits pass the rule.  Transposed, C(4097, 1) = 4,097 bits are fewer,
+        # but its 4,097 masks x 4,097 bits pass 2^24, and it is refused.
+        pats = PatternSet.of(Matrix01(1, 8, (1,)))
+        refused = "m=16, n=4097: 4097 columns x over 4095 table bits"
+        with pytest.raises(SizeLimitError, match=refused):
+            ex_weight(16, 4097, flipped(pats))
+        walks = []
+        real = search_module._weight_walk
+
+        def walk(m, n, *rest):
+            walks.append((m, n))
+            return real(m, n, *rest)
+
+        monkeypatch.setattr(search_module, "_weight_walk", walk)
+        res = ex_weight(4097, 16, pats, budget=1000)
+        assert walks == [(4097, 16)]
+        assert (res.value, res.nodes_explored, res.exact) == (385, 1001, False)
+        assert (res.witness.rows, res.witness.cols) == (4097, 16)
+        # a one with 7 columns right of it: only the last 7 columns may hold ones
+        assert res.witness.weight == res.value
+        assert not any(bits & 0x1FF for bits in res.witness.row_bits)
+
+    def test_row_automaton_shares_its_last_masks(self):
+        # the band test's walk for a one on top of 20,000 zero rows beside
+        # its mirror image: trailing-zero counts 20,000 and 0, so last holds
+        # two distinct masks for its 60,002 rows.  Built one per row they
+        # peak at about 155 MiB.
+        top = Matrix01(20001, 1, (1,) + (0,) * 20000)
+        tracemalloc.start()
+        try:
+            _, _, _, last, _ = search_module._row_automaton(60002, 1, [top, flip_v(top)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(last) == 60002 and len({id(mask) for mask in last}) == 2
+        assert peak < 16 << 20
 
 
 @st.composite
@@ -641,6 +755,11 @@ PINNED = [
      (16, 51, False, "11111\n11111\n10001\n10001\n10001")),
     ("weight", (6, 6, P22, {"budget": 2000}),
      (15, 2001, False, "111110\n100001\n010001\n001001\n000101\n000011")),
+    # walked as 5 x 4 (C(4, 2) column pairs, not C(5, 2)) and transposed
+    # back; as given they took 17,758 and 44,555 nodes
+    ("weight", (4, 5, P22, {}), (10, 3230, True, "11100\n10010\n10001\n01011")),
+    ("weight", (4, 5, PatternSet(P22.patterns + (DIAMOND,)), {}),
+     (10, 7673, True, "11001\n10010\n10100\n00111")),
     ("columns", (6, 2, P22, {}),
      (15, 16, True, "111110000000000\n100001111000000\n010001000111000\n"
       "001000100100110\n000100010010101\n000010001001011")),
