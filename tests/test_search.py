@@ -755,11 +755,6 @@ PINNED = [
      (16, 51, False, "11111\n11111\n10001\n10001\n10001")),
     ("weight", (6, 6, P22, {"budget": 2000}),
      (15, 2001, False, "111110\n100001\n010001\n001001\n000101\n000011")),
-    # walked as 5 x 4 (C(4, 2) column pairs, not C(5, 2)) and transposed
-    # back; as given they took 17,758 and 44,555 nodes
-    ("weight", (4, 5, P22, {}), (10, 3230, True, "11100\n10010\n10001\n01011")),
-    ("weight", (4, 5, PatternSet(P22.patterns + (DIAMOND,)), {}),
-     (10, 7673, True, "11001\n10010\n10100\n00111")),
     ("columns", (6, 2, P22, {}),
      (15, 16, True, "111110000000000\n100001111000000\n010001000111000\n"
       "001000100100110\n000100010010101\n000010001001011")),
@@ -820,6 +815,11 @@ PINNED = [
      (16, 2352, True, "1111000000000000\n1000111000000000\n0100100110000000\n"
       "0010010001100000\n0001001000011000\n0000000101000110\n0000000010010101\n"
       "0000000000101011")),
+    # walked as 5 x 4 (C(4, 2) column pairs, not C(5, 2)) and transposed
+    # back; as given they took 17,758 and 44,555 nodes
+    ("weight", (4, 5, P22, {}), (10, 3230, True, "11100\n10010\n10001\n01011")),
+    ("weight", (4, 5, PatternSet(P22.patterns + (DIAMOND,)), {}),
+     (10, 7673, True, "11001\n10010\n10100\n00111")),
 ]
 
 
