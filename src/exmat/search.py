@@ -29,19 +29,23 @@ Boundary semantics for ex_columns, one finiteness rule:
     for some k-subset of rows, the m-row band host with ones exactly on
     those rows avoids every pattern at width w.  If none does, w columns
     whose supports share k rows contain a band host, so the cap of an
-    r = k, c = w pattern holds.  _band_avoids decides it with ex_weight.
+    r = k, c = w pattern holds.  _band_avoids decides it with ex_weight's
+    walk, stopped once it holds k ones.
 _column_cap takes the smallest of these caps.
 
 Budgets are node counts, never wall time, so runs are reproducible.  A
 budget-exhausted result carries exact=False and a witness-backed lower
-bound; so does a walk stopped at MEMO_LIMIT memo entries.  Both
-searches run on one explicit-stack driver, so their depth is limited by
-memory, not by Python's recursion limit.  A bounded column query with
-more than COLUMN_CANDIDATE_LIMIT candidate columns is refused with
-SizeLimitError, and so is any query whose table, times the masks as wide
-as it that the search keeps (the larger of its candidates and its m rows,
-or its n columns), passes MATRIX_CELL_LIMIT; _automaton applies that rule
-before it builds anything.
+bound; so does a walk stopped at MEMO_LIMIT memo entries, as neither
+search opens a state past it.  Both searches run on one explicit-stack
+driver, so their depth is limited by memory, not by Python's recursion
+limit, and a node ends a walk by telling the driver that its value is
+proven or that it stops as a cut.  A bounded column query with more than
+COLUMN_CANDIDATE_LIMIT candidate columns is refused with SizeLimitError,
+and so is any query whose table, times the masks as wide as it that the
+search keeps (the larger of its candidates and its m rows, or its n
+columns), passes MATRIX_CELL_LIMIT; _automaton applies that rule before it
+builds anything, and ex_weight predicts it with _table_bits to choose its
+orientation.
 """
 
 from __future__ import annotations
@@ -86,11 +90,14 @@ def _depth_first(root, budget: int | None) -> tuple[int, bool]:
 
     A node is a generator that yields its child nodes one at a time and is
     resumed once a child's subtree is done: an ex_columns node, or an
-    ex_weight row start, stores its state's run after the last child.  The
-    searches keep their results themselves.  A node is counted when it is
-    entered; the walk stops without entering node budget+1.  The root is
-    entered like any child, from a one-item iterator.  Returns the node
-    count and whether the tree was walked to the end.
+    ex_weight row start, stores its state's run after the last child.  In
+    place of a child a node may yield True, its search's value is proven,
+    or False, the walk stops as a cut; either ends the whole walk at once.
+    The searches keep their results themselves.  A node is counted when it
+    is entered; the walk stops as a cut without entering node budget+1.
+    The root is entered like any child, from a one-item iterator.  Returns
+    the node count and whether the value is proven: True when the tree was
+    walked to the end or a node said so.
     """
     limit = math.inf if budget is None else budget
     stack = [iter((root,))]
@@ -100,6 +107,8 @@ def _depth_first(root, budget: int | None) -> tuple[int, bool]:
         if child is None:
             stack.pop()
             continue
+        if child.__class__ is bool:
+            return nodes, child
         nodes += 1
         if nodes > limit:
             return nodes, False
@@ -113,7 +122,8 @@ class ExtremalResult:
 
     value is an integer, or UNBOUNDED (math.inf).  exact=True means proven
     optimum; exact=False means best witness found within the node budget,
-    or within MEMO_LIMIT memo entries, which is still a valid lower bound.
+    or before the search would open memo entry MEMO_LIMIT+1, which is still
+    a valid lower bound.
     """
 
     value: int | float
@@ -168,7 +178,7 @@ def ex_weight(m: int, n: int, patterns: PatternSet, budget: int | None = None) -
     return _weight_walk(m, n, patterns, budget)
 
 
-def _weight_walk(m: int, n: int, patterns, budget: int | None) -> ExtremalResult:
+def _weight_walk(m: int, n: int, patterns, budget: int | None, goal=math.inf) -> ExtremalResult:
     """ex_weight(m, n, patterns, budget) walked in the orientation given.
 
     Containment is the automaton over the host columns: its levels are
@@ -182,15 +192,18 @@ def _weight_walk(m: int, n: int, patterns, budget: int | None) -> ExtremalResult
     setting (r, c) completes a pattern iff a subset at its last level lacks
     none of its row's columns among the row's zeros and the columns after c.
 
-    Past MEMO_LIMIT row starts a new state counts as zero rows below, and
-    past budget nodes the walk stops.  Either is a cut, and returns the best
-    finished avoider, the rows the walk stands on above zero rows, or a
-    seed (the zero matrix, or an all-ones column or row), the heaviest.
+    The walk stops as a cut when it would open row start MEMO_LIMIT+1,
+    when it would enter node budget+1, or once its best avoider, a seed
+    included, holds goal ones (the band test needs only k ones, and k
+    bounds nothing).  A cut
+    returns the best finished avoider, the rows the walk stands on above
+    zero rows, or a seed (the zero matrix, or an all-ones column or row),
+    the heaviest.
     """
     block, state, lacks, last, lower = _row_automaton(m, n, patterns)
     # run[r][st] = (weight, row, state after it) of the heaviest rows r..m-1
-    # after state st; r = m, or a state refused past MEMO_LIMIT, is zero
-    # rows.  best = (weight, rows, st) ends likewise; path: the rows above.
+    # after state st; past the last row, r = m, there are none.
+    # best = (weight, rows, st) ends likewise; path: the rows above.
     run: list[dict[int, tuple]] = [{} for _ in range(m + 1)]
     path: list[int] = []
     best = (0, [], None)
@@ -203,8 +216,8 @@ def _weight_walk(m: int, n: int, patterns, budget: int | None) -> ExtremalResult
     def start(r: int, st: int, above: int):
         nonlocal states
         states += 1
-        if states > MEMO_LIMIT:
-            return
+        if states > MEMO_LIMIT or best[0] >= goal:
+            yield False
         here, room = (0, 0, None), (m - 1 - r) * n
 
         def cell(c: int, w: int, zeros: int, bits: int):
@@ -227,6 +240,8 @@ def _weight_walk(m: int, n: int, patterns, budget: int | None) -> ExtremalResult
                 here = (total, bits, nxt)
                 if above + total > best[0]:
                     best = (above + total, [*path, bits], nxt)
+                    if best[0] >= goal:
+                        yield False
 
         yield cell(0, 0, 0, 0)
         run[r][st] = here
@@ -239,7 +254,7 @@ def _weight_walk(m: int, n: int, patterns, budget: int | None) -> ExtremalResult
         rows.append(bits)
     run.clear()  # start's closure holds run in a cycle with start itself
     witness = Matrix01(m, n, (*rows, *[0] * (m - len(rows))))
-    return ExtremalResult(weight, witness, nodes, exact and states <= MEMO_LIMIT)
+    return ExtremalResult(weight, witness, nodes, exact)
 
 
 def _row_automaton(m: int, n: int, patterns) -> tuple[int, int, list[int], list[int], int]:
@@ -397,13 +412,16 @@ def _band_avoids(m: int, k: int, pats) -> bool:
     run of equal host rows, h the tallest pattern's height, so a zero run of
     h or more rows may be cut or grown to any length of h or more; past
     k + (k+1)*h rows one of the k+1 zero runs is that long, so that many
-    rows decide it.  A walk cut at MEMO_LIMIT short of k ones is refused.
+    rows decide it.  The walk stops as a cut once it holds k ones; one cut
+    at MEMO_LIMIT short of them is refused.  It calls _weight_walk, which
+    alone takes that goal, so it checks the m'-row host's cells itself.
     """
     words = [Matrix01(p.rows, 1, tuple(int(bits > 0) for bits in p.row_bits)) for p in pats]
     if any(w.rows <= m and not w.weight for w in words):
-        return False  # every band holds it, and ex_weight refuses it
+        return False  # every band holds it, and _row_automaton refuses it
     rows = min(m, k + (k + 1) * max(w.rows for w in words))
-    res = ex_weight(rows, 1, words, budget=MEMO_LIMIT)
+    check_cells(rows, 1)
+    res = _weight_walk(rows, 1, words, MEMO_LIMIT, goal=k)
     if not res.exact and res.value < k:
         raise SizeLimitError(
             f"m={m}, k={k}: the band test stopped at the memo limit {MEMO_LIMIT} short of {k} ones"
@@ -476,10 +494,10 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
     path from the start state.  A node is a state: it walks the candidates
     in lexicographic order and stores its longest run in the memo once all
     are done.  No avoider has more than _column_cap's `top` columns, and
-    the walk stops once a path and its run have that many.  Each node holds
-    one memo entry, so the walk stops as a cut after the smaller of budget
-    and MEMO_LIMIT nodes, with the longer of the best finished path and the
-    path it stands on.
+    the walk ends, proven, once a path and its run have that many.  Each
+    node holds one memo entry, so the walk stops as a cut after the smaller
+    of budget and MEMO_LIMIT nodes, with the longer of the best finished
+    path and the path it stands on.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
@@ -525,15 +543,13 @@ def ex_columns(m: int, k: int, patterns: PatternSet, budget: int | None = None) 
                 path.append(sel)
                 yield node(nxt)
                 path.pop()
-                if best[0] == top:
-                    return
             size = run[nxt][0] + 1
             if size > here[0]:
                 here = (size, sel, nxt)
                 if len(path) + size > best[0]:
                     best = (len(path) + size, (*path, sel), nxt)
                     if best[0] == top:
-                        return
+                        yield True
         run[st] = here
 
     limit = MEMO_LIMIT if budget is None else min(budget, MEMO_LIMIT)

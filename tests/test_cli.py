@@ -460,6 +460,21 @@ class TestCompute:
         doc = json.loads(out)
         assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (9, True, 1867)
 
+    def test_weight_memo_limit_is_a_cut_without_a_budget(self, capsys, p22_file, monkeypatch):
+        # 5 x 5 P22 opens 1,663 row starts; with room for 20 the walk stops
+        # at the 21st as a cut, with no budget set
+        monkeypatch.setattr(search_module, "MEMO_LIMIT", 20)
+        code, out, _ = run_cli(
+            capsys, "compute", "weight", "--m", "5", "--n", "5",
+            "--pattern", p22_file, "--budget", "0",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (12, False, 366)
+        witness = parse_matrix(doc["witness"])
+        assert witness.weight == doc["value"]
+        assert not contains_oracle(witness, Matrix01(2, 2, (3, 3)))
+
     def test_deep_weight_search_is_budget_cut(self, capsys, p22_file):
         # 1,601 levels deep: crashed with RecursionError before the searches
         # used an explicit stack

@@ -172,6 +172,16 @@ class TestExWeight:
                 assert res.witness.weight == res.value >= 5
                 assert not contains_oracle(res.witness, pattern_P(2, 2))
 
+    def test_memo_limit_stops_the_walk_at_the_first_refused_row_start(self, monkeypatch):
+        # 5 x 5 P22 with room for 20 row starts: the 21st ends the walk as
+        # a cut, in 366 nodes, with the heaviest avoider a finished row
+        # start has given
+        monkeypatch.setattr(search_module, "MEMO_LIMIT", 20)
+        res = ex_weight(5, 5, P22)
+        assert (res.value, res.exact, res.nodes_explored) == (12, False, 366)
+        rows = ("11110", "10001", "01001", "00101", "00011")
+        assert res.witness == Matrix01(5, 5, tuple(int(row[::-1], 2) for row in rows))
+
 
 class TestExWeightSymmetry:
     @settings(max_examples=60)
@@ -482,6 +492,32 @@ class TestExColumns:
         top = Matrix01(101, 1, (1,) + (0,) * 100)
         res = ex_columns(250, 2, PatternSet.of(top, flip_v(top)), budget=10)
         assert res.exact and res.value == 0 and res.witness.cols == 0
+
+    def test_band_test_stops_at_k_ones(self, monkeypatch):
+        # one-column words of 237, 61 and 101 rows leave room for 60 ones in
+        # the 295-row column; the walk stops as a cut once it holds 3, not
+        # after MEMO_LIMIT row starts in search of the heaviest column
+        words = [
+            Matrix01.from_ones(rows, 1, [(r, 0) for r in ones])
+            for rows, ones in ((237, (20, 194, 209)), (61, (12, 25, 39)), (101, (1, 40, 59)))
+        ]
+        walks = []
+        real = search_module._weight_walk
+
+        def walk(*args, **kwargs):
+            res = real(*args, **kwargs)
+            walks.append((args[:2], res.nodes_explored, res.exact, res.value >= 3))
+            return res
+
+        monkeypatch.setattr(search_module, "_weight_walk", walk)
+        res = ex_columns(295, 3, PatternSet(tuple(words)))
+        assert res.unbounded and res.exact
+        assert walks == [((295, 1), 885, False, True)]
+        # a word taller than the host never embeds, so the all-ones seed
+        # already holds the k ones and the walk stops at its root
+        walks.clear()
+        assert ex_columns(20, 2, PatternSet.of(Matrix01(30, 1, (1,) + (0,) * 29))).unbounded
+        assert walks == [((20, 1), 1, False, True)]
 
     def test_unbounded_through_a_split_band(self):
         # a one in the middle row of three: the hosts of all-ones top rows
